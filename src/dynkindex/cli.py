@@ -3,9 +3,9 @@
 Subcommands: table (the summary table of principal/subregular data), index
 (sl2-subalgebra index of one orbit), rep-index (Dynkin index of one
 irreducible), verify (the exhaustive check suite), poset (orbit closure
-diagrams).  Exit codes: 0 success, 1 verification or consistency failure,
-2 usage error.  All output is deterministic; exact rationals are printed
-as "p/q" strings.
+diagrams).  Exit codes: 0 success, 1 verification, route or invariant
+failure, 2 usage error; errors go to stderr as "error: ...".  All output is
+deterministic; exact rationals are printed as "p/q" strings.
 """
 
 from __future__ import annotations
@@ -68,6 +68,11 @@ def frac(value) -> str:
 
 _QUANTITIES = ("principal-index", "difference", "a", "b", "ratio")
 
+
+class RouteDisagreement(RuntimeError):
+    """Two routes to one table cell gave different values."""
+
+
 _FORMS = {
     "A": {"principal-index": "C(n+2,3)", "difference": "C(n+1,2)", "b": "n+1"},
     "B": {"principal-index": "C(2n+2,3)/2", "difference": "2n^2", "b": "2n"},
@@ -80,8 +85,10 @@ def _column(lt: LieType, label: str, classical: bool) -> dict:
     rs = build(lt)
     principal = sl2.principal_index(rs)
     difference = sl2.principal_minus_subregular(rs)
-    if not (principal.consistent and difference.consistent):
-        raise RuntimeError(f"route disagreement for {lt}")
+    for quantity, report in (("principal-index", principal), ("difference", difference)):
+        if not report.consistent:
+            routes = ", ".join(f"{k}={frac(v)}" for k, v in sorted(report.routes.items()))
+            raise RouteDisagreement(f"route disagreement for {lt} {quantity}: {routes}")
     a, b = sl2.ab_closed_form(lt.family, lt.rank)
     forms = _FORMS.get(lt.family, {}) if classical else {}
     cells = {
@@ -404,6 +411,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RouteDisagreement, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,8 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
-from .rootsystems import EXCEPTIONAL, LieType, RootSystem, build, classical_type
+from .rootsystems import (
+    EXCEPTIONAL,
+    LieType,
+    RootSystem,
+    _require,
+    build,
+    classical_type,
+)
 
 
 @dataclass(frozen=True)
@@ -36,20 +44,16 @@ def _check_weight(rs: RootSystem, weight) -> tuple[int, ...]:
 def weyl_dimension(rs: RootSystem, weight) -> int:
     """Dimension of the irreducible module with the given highest weight.
 
-    Product over positive roots of (lambda+rho, gamma)/(rho, gamma); the
-    pairings are computed as scaled integers so the result is exact for
-    arbitrarily large weights.
+    Product over positive roots of (lambda+rho, gamma)/(rho, gamma), in
+    integers scaled by ``_scale``.  The denominator is a type constant
+    stored by the root system; each numerator pairing is its parent root's
+    plus (lambda_i + 1) * d_i, so the result is exact for arbitrarily large
+    weights.
     """
     weight = _check_weight(rs, weight)
-    w = rs._int_norms
-    shifted = [(wi + 1) * wj for wi, wj in zip(weight, w)]
-    num = 1
-    den = 1
-    for root in rs.positive_roots:
-        num *= sum(c * s for c, s in zip(root.coords, shifted) if c)
-        den *= sum(c * s for c, s in zip(root.coords, w) if c)
-    dim, rem = divmod(num, den)
-    assert rem == 0
+    shifted = [(wi + 1) * d for wi, d in zip(weight, rs._int_norms)]
+    dim, rem = divmod(prod(rs._scaled_root_pairings(shifted)), rs._rho_product)
+    _require(rem == 0, f"Weyl dimension of {weight} in {rs.lie_type} is not an integer")
     return dim
 
 
@@ -104,7 +108,7 @@ def index_chain_rule_holds(
 
 # Smallest faithful representations of the exceptional algebras, as
 # fundamental-weight labels in Bourbaki numbering, with the classical target
-# they embed into.  Dimensions are recomputed and asserted, so a numbering
+# they embed into.  Dimensions are recomputed and checked, so a numbering
 # mistake here cannot survive.
 _SIMPLEST = {
     "E6": ((1, 0, 0, 0, 0, 0), 27, "sl"),
@@ -124,7 +128,9 @@ def simplest_representation(lt: LieType) -> tuple[tuple[int, ...], int, str]:
     if key not in _SIMPLEST:
         raise ValueError(f"{lt} is not exceptional")
     weight, dim, kind = _SIMPLEST[key]
-    assert weyl_dimension(build(lt), weight) == dim
+    _require(
+        weyl_dimension(build(lt), weight) == dim, f"{lt} module is not {dim}-dimensional"
+    )
     return weight, dim, kind
 
 
@@ -141,7 +147,8 @@ def simplest_embedding_index(lt: LieType) -> int:
     vector = (1,) + (0,) * (target.rank - 1)
     ind_target = dynkin_index(target, vector).index
     value = embedding_index(ind_top, ind_target)
-    assert value == _SIMPLEST_EMBEDDING_INDEX[key], (lt, value)
+    expected = _SIMPLEST_EMBEDDING_INDEX[key]
+    _require(value == expected, f"{lt} embedding index {value}, expected {expected}")
     return int(value)
 
 

@@ -1,10 +1,17 @@
-"""Root systems of the simple Lie algebras over exact rational arithmetic.
+"""Root systems of the simple Lie algebras over exact arithmetic.
 
 Positive roots are integer coordinate vectors in the simple-root basis,
 generated from the Cartan matrix by root-string closure.  The invariant
-bilinear form is normalised so that long roots have squared length 2; every
-derived quantity (Weyl vector, coroot half-sum, Coxeter numbers, exponents)
-is an exact integer or Fraction.
+bilinear form is normalised so that long roots have squared length 2.
+
+Every type constant is computed once, in the constructor, as a scaled
+integer: the half squared lengths of the simple roots times ``_scale``, the
+Gram matrix times ``_scale``, and the inverse Cartan matrix as ``det C`` and
+the adjugate ``det C * C^-1``, found by eliminating from the leaves of the
+Dynkin tree (integer-preserving in the sense of Bareiss).  The forms sum
+over these integer matrices and divide once at the end, so every result is
+an exact integer or Fraction.  Broken invariants raise ``ArithmeticError``
+in every run mode, ``python -O`` included.
 
 Simple roots are numbered as in Bourbaki, so fundamental-weight coordinates
 agree with the usual tables (e.g. the first fundamental weight of E6 carries
@@ -17,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 FAMILIES = "ABCDEFG"
 EXCEPTIONAL = ("E6", "E7", "E8", "F4", "G2")
@@ -138,6 +145,12 @@ def _cartan_matrix(lt: LieType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in c)
 
 
+def _require(condition: bool, message: str) -> None:
+    # An invariant check that, unlike assert, also runs under python -O.
+    if not condition:
+        raise ArithmeticError(message)
+
+
 def _simple_norms(cartan: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
     # Half squared lengths d_j of the simple roots, scaled so max(d) = 1.
     # Symmetry of the form forces c[i][j] d_j = c[j][i] d_i along each bond.
@@ -156,12 +169,12 @@ def _simple_norms(cartan: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
     return tuple(d[j] / top for j in range(n))
 
 
-def _positive_root_coords(
-    cartan: tuple[tuple[int, ...], ...],
-) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], list[int]]]:
+def _positive_root_coords(cartan: tuple[tuple[int, ...], ...]):
     # Height-by-height closure.  For each known root we keep its vector of
     # coroot pairings; gamma + alpha_i is a root iff the alpha_i-string below
-    # gamma is longer than that pairing.
+    # gamma is longer than that pairing.  Every root found as gamma + alpha_i
+    # records the index of gamma in the ordered list and the step i; the
+    # simple roots come first and record nothing.
     n = len(cartan)
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     pairing: dict[tuple[int, ...], list[int]] = {
@@ -170,9 +183,11 @@ def _positive_root_coords(
     known = set(simple)
     layer = list(simple)
     ordered = list(simple)
+    parents: list[int] = []
+    steps: list[int] = []
     while layer:
         nxt = []
-        for coords in layer:
+        for index, coords in enumerate(layer, len(ordered) - len(layer)):
             p = pairing[coords]
             for i in range(n):
                 if p[i] >= 0:
@@ -196,9 +211,83 @@ def _positive_root_coords(
                 row = cartan[i]
                 pairing[new] = [p[j] + row[j] for j in range(n)]
                 nxt.append(new)
+                parents.append(index)
+                steps.append(i)
         ordered.extend(nxt)
         layer = nxt
-    return ordered, pairing
+    return ordered, pairing, tuple(parents), tuple(steps)
+
+
+def _cartan_adjugate(cartan) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    # det C and det C * C^-1 in integers.  The Dynkin diagram is a tree, so
+    # eliminating from the leaves towards vertex 0 creates no fill-in.
+    # sub[u] is the determinant of the subtree rooted at u and below[u] the
+    # product of sub over the children of u, so u's pivot is sub[u] / below[u].
+    # Each column j solves C x = e_j: the forward pass keeps every
+    # eliminated right-hand side t[u] as the integer s[u] = t[u] * below[u],
+    # and back-substitution yields det C * x with exact divisions.
+    n = len(cartan)
+    nbrs = [[v for v in range(n) if v != u and cartan[u][v]] for u in range(n)]
+    _require(sum(map(len, nbrs)) == 2 * (n - 1), "Dynkin diagram is not a tree")
+    parent = [-1] * n
+    order = [0]
+    for u in order:
+        for v in nbrs[u]:
+            if v and parent[v] < 0:
+                parent[v] = u
+                order.append(v)
+    _require(len(order) == n, "Dynkin diagram is not a tree")
+    children = [[v for v in nbrs[u] if v != parent[u]] for u in range(n)]
+    sub = [0] * n
+    below = [1] * n
+    for u in reversed(order):
+        below[u] = prod(sub[c] for c in children[u])
+        sub[u] = cartan[u][u] * below[u] - sum(
+            cartan[u][c] * cartan[c][u] * below[c] * (below[u] // sub[c])
+            for c in children[u]
+        )
+        _require(sub[u] > 0, "Cartan matrix is not positive definite")
+    det = sub[0]
+    # s[u] = e_j[u] * below[u] - sum over children c of
+    # C[u][c] * (below[u] / sub[c]) * s[c].
+    links = [
+        [(c, cartan[u][c] * (below[u] // sub[c])) for c in children[u]] for u in range(n)
+    ]
+    columns = []
+    for j in range(n):
+        s = [0] * n
+        for u in reversed(order):
+            s[u] = (below[u] if u == j else 0) - sum(w * s[c] for c, w in links[u])
+        x = [0] * n
+        for u in order:
+            up = cartan[u][parent[u]] * x[parent[u]] * below[u] if u else 0
+            x[u] = (det * s[u] - up) // sub[u]
+        # C x = det e_j, row by row over the tree's edges.
+        for u in range(n):
+            _require(
+                cartan[u][u] * x[u] + sum(cartan[u][v] * x[v] for v in nbrs[u])
+                == (det if u == j else 0),
+                "inexact inverse of the Cartan matrix",
+            )
+        columns.append(x)
+    return det, tuple(zip(*columns))
+
+
+def _clear_denominators(vector) -> tuple[list[int], int]:
+    # Integers v * den with den the least common denominator of the vector.
+    den = lcm(*(v.denominator for v in vector))
+    return [v.numerator * (den // v.denominator) for v in vector], den
+
+
+def _bilinear(matrix, x, y, scale: int) -> Fraction:
+    # x^T matrix y / scale for an integer matrix: integer sums, one Fraction.
+    xs, dx = _clear_denominators(x)
+    ys, dy = _clear_denominators(y)
+    total = 0
+    for xi, row in zip(xs, matrix):
+        if xi:
+            total += xi * sum(m * yj for m, yj in zip(row, ys) if yj)
+    return Fraction(total, scale * dx * dy)
 
 
 class RootSystem:
@@ -213,18 +302,15 @@ class RootSystem:
         self.rank = lie_type.rank
         self.cartan = _cartan_matrix(lie_type)
         self.simple_norms = _simple_norms(self.cartan)
-        self.gram = tuple(
-            tuple(self.cartan[i][j] * self.simple_norms[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
-        for i in range(self.rank):
-            for j in range(self.rank):
-                assert self.gram[i][j] == self.gram[j][i]
-
-        coords_list, pairings = _positive_root_coords(self.cartan)
         scale = lcm(*(d.denominator for d in self.simple_norms))
-        int_norms = [int(d * scale) for d in self.simple_norms]
+        int_norms = tuple(int(d * scale) for d in self.simple_norms)
+        int_gram = tuple(
+            tuple(c * w for c, w in zip(row, int_norms)) for row in self.cartan
+        )
+        _require(int_gram == tuple(zip(*int_gram)), "Gram matrix is not symmetric")
+        self.gram = tuple(tuple(Fraction(g, scale) for g in row) for row in int_gram)
 
+        coords_list, pairings, parents, steps = _positive_root_coords(self.cartan)
         roots = []
         long_total = [0] * self.rank
         short_total = [0] * self.rank
@@ -241,14 +327,17 @@ class RootSystem:
         self.dimension = self.rank + 2 * len(roots)
 
         self.theta = max(roots, key=lambda r: r.height)
-        assert sum(1 for r in roots if r.height == self.theta.height) == 1
-        assert self.theta.norm2 == 2, "normalisation failed"
+        _require(
+            sum(1 for r in roots if r.height == self.theta.height) == 1,
+            "highest root is not unique",
+        )
+        _require(self.theta.norm2 == 2, "normalisation failed")
 
         shorts = [r for r in roots if not r.is_long]
         if shorts:
             self.theta_short = max(shorts, key=lambda r: r.height)
             ratio = 2 / self.theta_short.norm2
-            assert ratio.denominator == 1 and int(ratio) in (2, 3)
+            _require(ratio in (2, 3), f"root length ratio {ratio} is not 2 or 3")
             self.r = int(ratio)
         else:
             self.theta_short = self.theta
@@ -263,20 +352,34 @@ class RootSystem:
             for lt, st in zip(long_total, short_total)
         )
 
+        # The scaled-integer kernel.  (omega_i, omega_j) = (C^-1)_ij d_j, so
+        # the weight Gram matrix is the adjugate times the scaled norms.
+        det, adjugate = _cartan_adjugate(self.cartan)
+        weight_gram = tuple(
+            tuple(a * w for a, w in zip(row, int_norms)) for row in adjugate
+        )
+        _require(weight_gram == tuple(zip(*weight_gram)), "weight form is not symmetric")
         self._scale = scale
-        self._int_norms = tuple(int_norms)
+        self._int_norms = int_norms
+        self._int_gram = int_gram
+        self._det = det
+        self._adjugate = adjugate
+        self._weight_gram = weight_gram
+        # Root k >= rank is root parents[k - rank] plus simple root steps[k - rank].
+        self._root_parents = parents
+        self._root_steps = steps
+        # Weyl denominator prod (rho, gamma) * scale^N over the positive roots.
+        self._rho_product = prod(self._scaled_root_pairings(int_norms))
 
     # -- bilinear form -----------------------------------------------------
 
     def form(self, x, y) -> Fraction:
-        """Normalised invariant form between vectors in root coordinates."""
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.gram[i]
-            total += xi * sum(yj * row[j] for j, yj in enumerate(y) if yj)
-        return total
+        """Normalised invariant form between vectors in root coordinates.
+
+        Sums over the integer Gram matrix scaled by ``_scale`` (rational
+        entries are first put over a common denominator) and divides once.
+        """
+        return _bilinear(self._int_gram, x, y, self._scale)
 
     def coroot_pairings(self, coords) -> tuple[int, ...]:
         """Pairings of an integer root-coordinate vector with every simple coroot."""
@@ -285,37 +388,32 @@ class RootSystem:
             for j in range(self.rank)
         )
 
+    def _scaled_root_pairings(self, shifted) -> list[int]:
+        """scale * (mu, gamma) for every positive root gamma, in root order,
+        from scale * (mu, alpha_i) for each simple root: one addition per
+        root along its parent pointer."""
+        values = list(shifted)
+        for parent, i in zip(self._root_parents, self._root_steps):
+            values.append(values[parent] + shifted[i])
+        return values
+
     # -- weights -------------------------------------------------------------
 
     @property
     def fundamental_weights(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Fundamental weights as root-coordinate rows (inverse Cartan)."""
-        cached = getattr(self, "_fundamental_weights", None)
-        if cached is None:
-            cached = _invert_rational(self.cartan)
-            self._fundamental_weights = cached
-        return cached
-
-    def weight_root_coords(self, weight) -> tuple[Fraction, ...]:
-        """Convert fundamental-weight coordinates to root coordinates."""
-        rows = self.fundamental_weights
+        """Fundamental weights as root-coordinate rows (inverse Cartan),
+        read off the integer adjugate on each access."""
         return tuple(
-            sum(wi * rows[i][k] for i, wi in enumerate(weight) if wi)
-            for k in range(self.rank)
+            tuple(Fraction(a, self._det) for a in row) for row in self._adjugate
         )
 
     def weight_form(self, a, b) -> Fraction:
         """Invariant form between two weights in fundamental coordinates.
 
-        Uses that the pairing of a weight with the j-th simple root equals
-        its j-th coordinate times the half squared length of that root.
+        Sums over the integer matrix M_ij = det C * scale * (omega_i, omega_j)
+        and divides once.
         """
-        y = self.weight_root_coords(b)
-        return sum(
-            yj * aj * dj
-            for yj, aj, dj in zip(y, a, self.simple_norms)
-            if yj and aj
-        ) or Fraction(0)
+        return _bilinear(self._weight_gram, a, b, self._det * self._scale)
 
     # -- classical invariants ------------------------------------------------
 
@@ -325,7 +423,7 @@ class RootSystem:
     def dual_coxeter_number(self) -> int:
         # 1 + (rho, theta-check); theta-check = theta since (theta,theta) = 2.
         value = 1 + self.form(self.rho, self.theta.coords)
-        assert value.denominator == 1
+        _require(value.denominator == 1, f"dual Coxeter number {value} is not an integer")
         return int(value)
 
     def dual_coxeter_number_of_dual(self) -> int:
@@ -342,8 +440,10 @@ class RootSystem:
             for j in range(1, counts[1] + 1)
         ]
         exps.reverse()
-        assert len(exps) == self.rank
-        assert sum(2 * m + 1 for m in exps) == self.dimension
+        _require(len(exps) == self.rank, "wrong number of exponents")
+        _require(
+            sum(2 * m + 1 for m in exps) == self.dimension, "exponents miss the dimension"
+        )
         return tuple(exps)
 
     def height_sums(self) -> tuple[int, int]:
@@ -369,26 +469,6 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return f"RootSystem({self.lie_type})"
-
-
-def _invert_rational(matrix) -> tuple[tuple[Fraction, ...], ...]:
-    # Gauss-Jordan over Fractions; matrices here are at most rank x rank.
-    n = len(matrix)
-    aug = [
-        [Fraction(matrix[i][j]) for j in range(n)]
-        + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 @lru_cache(maxsize=None)

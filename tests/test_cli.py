@@ -1,11 +1,18 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from dynkindex import sl2
 from dynkindex.cli import main, parse_algebra, read_config_file, table_payload
 from dynkindex.rootsystems import LieType
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -153,6 +160,21 @@ def test_table_rank_guard(capsys):
     assert code == 2 and "rank" in err
 
 
+def test_table_route_disagreement_exits_1(capsys, monkeypatch):
+    real = sl2.principal_index
+
+    def inconsistent(rs):
+        report = real(rs)
+        routes = {**report.routes, "broken": report.value + 1}
+        return sl2.IndexReport(report.value, routes)
+
+    monkeypatch.setattr(sl2, "principal_index", inconsistent)
+    code, out, err = run(capsys, "table")
+    assert code == 1 and out == ""
+    assert err.startswith("error: route disagreement for A5 principal-index:")
+    assert "broken=36" in err and "Traceback" not in err
+
+
 def test_verify_subset(capsys):
     code, out, _ = run(
         capsys, "verify", "--only", "identities", "--max-identity-n", "10"
@@ -218,6 +240,20 @@ def test_output_is_deterministic(capsys):
         _, out, _ = run(capsys, "verify", "--only", "unfolding")
         outputs.add(out)
     assert len(outputs) == 2
+
+
+def test_verify_output_is_the_same_under_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = ["-m", "dynkindex.cli", "verify"]
+    argv += ["--only", "structure", "--only", "integrality"]
+    runs = [
+        subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True)
+        for flags in ([], ["-O"])
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert b"13892 irreducibles checked" in runs[1].stdout
 
 
 def test_table_payload_rejects_low_rank():
