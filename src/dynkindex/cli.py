@@ -12,24 +12,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
-from . import identities, orbits, reps, sl2
-from .rootsystems import LieType, build, classical_type
+from . import orbits, reps, sl2
+from .rootsystems import EXCEPTIONAL, LieType, _require, build, classical_type, defining_module
 from .verify import CHECKS, VerifyConfig, run_checks
 
 _MATRIX_RE = re.compile(r"^(sl|sp|so)[_ ]?([0-9]+)$", re.IGNORECASE)
-
-_VECTOR_DIM = {
-    "A": lambda n: ("sl", n + 1),
-    "B": lambda n: ("so", 2 * n + 1),
-    "C": lambda n: ("sp", 2 * n),
-    "D": lambda n: ("so", 2 * n),
-}
 
 
 def parse_algebra(label: str) -> tuple[LieType, str | None, int | None]:
@@ -44,10 +37,8 @@ def parse_algebra(label: str) -> tuple[LieType, str | None, int | None]:
         kind, dim = m.group(1).lower(), int(m.group(2))
         return classical_type(kind, dim), kind, dim
     lt = LieType.parse(label)
-    if lt.family in _VECTOR_DIM:
-        kind, dim = _VECTOR_DIM[lt.family](lt.rank)
-        return lt, kind, dim
-    return lt, None, None
+    kind, dim = defining_module(lt) or (None, None)
+    return lt, kind, dim
 
 
 def parse_parts(text: str) -> tuple[int, ...]:
@@ -81,7 +72,7 @@ _FORMS = {
 }
 
 
-def _column(lt: LieType, label: str, classical: bool) -> dict:
+def _column(lt: LieType) -> dict:
     rs = build(lt)
     principal = sl2.principal_index(rs)
     difference = sl2.principal_minus_subregular(rs)
@@ -90,7 +81,7 @@ def _column(lt: LieType, label: str, classical: bool) -> dict:
             routes = ", ".join(f"{k}={frac(v)}" for k, v in sorted(report.routes.items()))
             raise RouteDisagreement(f"route disagreement for {lt} {quantity}: {routes}")
     a, b = sl2.ab_closed_form(lt.family, lt.rank)
-    forms = _FORMS.get(lt.family, {}) if classical else {}
+    forms = _FORMS.get(lt.family, {})
     cells = {
         "principal-index": {"form": forms.get("principal-index"), "value": frac(principal.value)},
         "difference": {"form": forms.get("difference"), "value": frac(difference.value)},
@@ -98,6 +89,7 @@ def _column(lt: LieType, label: str, classical: bool) -> dict:
         "b": {"form": forms.get("b"), "value": str(b)},
         "ratio": {"form": None, "value": frac(difference.value / (b * lt.rank))},
     }
+    label = str(lt) if lt.is_exceptional else f"{lt.family}_n (n={lt.rank})"
     return {"label": label, "cells": cells}
 
 
@@ -106,45 +98,24 @@ def table_payload(sample_rank: int = 5) -> dict:
     closed form evaluated at the sample rank."""
     if sample_rank < 4:
         raise ValueError("sample rank must be at least 4 so the D column exists")
-    columns = [
-        _column(LieType(fam, sample_rank), f"{fam}_n (n={sample_rank})", True)
-        for fam in "ABCD"
-    ]
-    for label in ("E6", "E7", "E8", "F4", "G2"):
-        columns.append(_column(LieType.parse(label), label, False))
+    types = [LieType(fam, sample_rank) for fam in "ABCD"]
+    types += [LieType.parse(label) for label in EXCEPTIONAL]
+    columns = [_column(lt) for lt in types]
     return {"sample_rank": sample_rank, "quantities": list(_QUANTITIES), "columns": columns}
 
 
-def _cell_text(cell: dict) -> str:
-    if cell["form"]:
-        return f"{cell['form']} = {cell['value']}"
-    return cell["value"]
-
-
-def render_table_markdown(payload: dict) -> str:
-    header = ["quantity"] + [col["label"] for col in payload["columns"]]
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "|" + "|".join("---" for _ in header) + "|",
-    ]
+def table_rows(payload: dict) -> list[list[str]]:
+    """Header row, then one row per quantity; a cell with a closed form reads
+    "form = value"."""
+    columns = payload["columns"]
+    rows = [["quantity"] + [col["label"] for col in columns]]
     for quantity in payload["quantities"]:
-        row = [quantity] + [
-            _cell_text(col["cells"][quantity]) for col in payload["columns"]
-        ]
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines) + "\n"
-
-
-def render_table_csv(payload: dict) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["quantity"] + [col["label"] for col in payload["columns"]])
-    for quantity in payload["quantities"]:
-        writer.writerow(
+        cells = [col["cells"][quantity] for col in columns]
+        rows.append(
             [quantity]
-            + [_cell_text(col["cells"][quantity]) for col in payload["columns"]]
+            + [f"{c['form']} = {c['value']}" if c["form"] else c["value"] for c in cells]
         )
-    return out.getvalue()
+    return rows
 
 
 # -- index ----------------------------------------------------------------------
@@ -162,7 +133,7 @@ def index_report(algebra: str, partition, via: str = "all") -> dict:
             )
         routes["simplest-rep"] = sl2.index_via_simplest_rep(lt, p)
     else:
-        assert kind is not None and dim is not None
+        _require(dim is not None, f"{lt} has no defining module")
         if via == "simplest":
             raise ValueError("--via simplest applies to exceptional algebras only")
         if sum(p) != dim:
@@ -199,40 +170,48 @@ def rep_index_report(algebra: str, weight) -> dict:
     }
 
 
-def _render_pairs_markdown(pairs) -> str:
-    lines = ["| field | value |", "|---|---|"]
-    lines += [f"| {k} | {v} |" for k, v in pairs]
+def _field_rows(payload: dict) -> list[list[str]]:
+    # One row per field; nested dicts become dotted keys, lists joined by ",".
+    rows = [["field", "value"]]
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            rows += [[f"{key}.{k}", str(v)] for k, v in value.items()]
+        elif isinstance(value, list):
+            rows.append([key, ",".join(str(v) for v in value)])
+        else:
+            rows.append([key, str(value)])
+    return rows
+
+
+def _verify_text(payload: dict) -> str:
+    """Plain-text report of a verify payload: one line per check with at
+    most 20 counterexamples, then the count of passed checks."""
+    lines = []
+    for check in payload["checks"]:
+        status = "ok  " if check["passed"] else "FAIL"
+        lines.append(f"{status} {check['name']:<18} {check['detail']}")
+        lines += [f"       counterexample: {f}" for f in check["counterexamples"][:20]]
+    good = sum(check["passed"] for check in payload["checks"])
+    lines.append(f"{good}/{len(payload['checks'])} checks passed")
     return "\n".join(lines) + "\n"
 
 
-def _render_pairs_csv(pairs) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["field", "value"])
-    writer.writerows(pairs)
-    return out.getvalue()
-
-
-def _flatten(payload: dict) -> list[tuple[str, str]]:
-    pairs = []
-    for key, value in payload.items():
-        if isinstance(value, dict):
-            pairs += [(f"{key}.{k}", str(v)) for k, v in value.items()]
-        elif isinstance(value, list):
-            pairs.append((key, ",".join(str(v) for v in value)))
-        else:
-            pairs.append((key, str(value)))
-    return pairs
-
-
-def _emit(payload: dict, fmt: str, out) -> None:
+def _emit(payload: dict, fmt: str, out, rows=_field_rows, text=None) -> None:
+    """The one output path of every subcommand: json dumps the payload, csv
+    and md lay out rows(payload) (a header row, then the body), and the
+    text formats (text, dot) write text()."""
     if fmt == "json":
         json.dump(payload, out, indent=2)
         out.write("\n")
     elif fmt == "csv":
-        out.write(_render_pairs_csv(_flatten(payload)))
+        csv.writer(out, lineterminator="\n").writerows(rows(payload))
+    elif fmt == "md":
+        header, *body = rows(payload)
+        lines = ["| " + " | ".join(row) + " |" for row in (header, *body)]
+        lines.insert(1, "|" + "---|" * len(header))
+        out.write("\n".join(lines) + "\n")
     else:
-        out.write(_render_pairs_markdown(_flatten(payload)))
+        out.write(text())
 
 
 # -- config files ----------------------------------------------------------------
@@ -273,14 +252,7 @@ def read_config_file(path: str) -> dict:
 
 
 def _cmd_table(args, out) -> int:
-    payload = table_payload(args.rank)
-    if args.format == "json":
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-    elif args.format == "csv":
-        out.write(render_table_csv(payload))
-    else:
-        out.write(render_table_markdown(payload))
+    _emit(table_payload(args.rank), args.format, out, rows=table_rows)
     return 0
 
 
@@ -297,52 +269,31 @@ def _cmd_rep_index(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    options: dict = {}
-    if args.config:
-        options.update(read_config_file(args.config))
-    if args.max_classical_rank is not None:
-        options["max_classical_rank"] = args.max_classical_rank
-    if args.max_partition_size is not None:
-        options["max_partition_size"] = args.max_partition_size
-    if args.max_identity_n is not None:
-        options["max_identity_n"] = args.max_identity_n
-    if args.only:
-        options["families"] = tuple(args.only)
-    config = VerifyConfig(**options)
-    results = run_checks(config)
-    if args.format == "json":
-        payload = {
-            "checks": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                    "counterexamples": r.failures,
-                }
-                for r in results
-            ],
-            "passed": all(r.passed for r in results),
-        }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-    else:
-        for r in results:
-            status = "ok  " if r.passed else "FAIL"
-            out.write(f"{status} {r.name:<18} {r.detail}\n")
-            for failure in r.failures[:20]:
-                out.write(f"       counterexample: {failure}\n")
-        good = sum(r.passed for r in results)
-        out.write(f"{good}/{len(results)} checks passed\n")
-    return 0 if all(r.passed for r in results) else 1
+    options = read_config_file(args.config) if args.config else {}
+    for field in _CONFIG_KEYS.values():  # flags override the file
+        value = getattr(args, field)
+        if value is not None:
+            options[field] = tuple(value) if field == "families" else value
+    results = run_checks(VerifyConfig(**options))
+    payload = {
+        "checks": [
+            {
+                "name": r.name,
+                "passed": r.passed,
+                "detail": r.detail,
+                "counterexamples": r.failures,
+            }
+            for r in results
+        ],
+        "passed": all(r.passed for r in results),
+    }
+    _emit(payload, args.format, out, text=partial(_verify_text, payload))
+    return 0 if payload["passed"] else 1
 
 
 def _cmd_poset(args, out) -> int:
     poset = orbits.build_poset(args.kind, args.n)
-    if args.format == "json":
-        json.dump(orbits.poset_payload(poset), out, indent=2)
-        out.write("\n")
-    else:
-        out.write(orbits.poset_dot(poset))
+    _emit(orbits.poset_payload(poset), args.format, out, text=partial(orbits.poset_dot, poset))
     return 0
 
 
@@ -385,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--only",
         action="append",
+        dest="families",
         metavar="CHECK",
         help=f"restrict to named checks ({', '.join(CHECKS)})",
     )

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .orbits import partitions_of
-from .sl2 import Partition, binom3, normalize_partition
+from .sl2 import KINDS, Partition, binom3, normalize_partition
 
-FAMILIES = ("sl", "sp", "so")
+FAMILIES = KINDS
 
 
 def lhs(p: Partition) -> int:

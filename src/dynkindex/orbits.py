@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .rootsystems import _require
 from .sl2 import Partition, classical_index, normalize_partition, partition_is_admissible
 
 
@@ -107,7 +108,7 @@ def build_poset(kind: str, n: int) -> OrbitPoset:
             covers.append((upper, lower))
     if kind == "sl":
         move_edges = {(p, m) for p in nodes for m in degeneration_moves(p)}
-        assert set(covers) <= move_edges, "a dominance cover is not a single move"
+        _require(set(covers) <= move_edges, "a dominance cover is not a single move")
     return OrbitPoset(kind, n, tuple(nodes), tuple(covers))
 
 

@@ -138,16 +138,13 @@ def simplest_representation(lt: LieType) -> tuple[tuple[int, ...], int, str]:
 def simplest_embedding_index(lt: LieType) -> int:
     """Index of the embedding of an exceptional algebra defined by its
     smallest faithful module, recomputed from both sides of the quotient."""
-    key = str(lt)
-    if key not in _SIMPLEST:
-        raise ValueError(f"{lt} is not exceptional")
     weight, dim, kind = simplest_representation(lt)
     ind_top = dynkin_index(build(lt), weight).index
     target = build(classical_type(kind, dim))
     vector = (1,) + (0,) * (target.rank - 1)
     ind_target = dynkin_index(target, vector).index
     value = embedding_index(ind_top, ind_target)
-    expected = _SIMPLEST_EMBEDDING_INDEX[key]
+    expected = _SIMPLEST_EMBEDDING_INDEX[str(lt)]
     _require(value == expected, f"{lt} embedding index {value}, expected {expected}")
     return int(value)
 

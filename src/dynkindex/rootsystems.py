@@ -29,10 +29,10 @@ from math import lcm, prod
 FAMILIES = "ABCDEFG"
 EXCEPTIONAL = ("E6", "E7", "E8", "F4", "G2")
 
-# Smallest accepted rank per family.  C2 and D3 duplicate B2 and A3 and are
-# accepted as alternative presentations of the same algebra; D2 would be
-# reducible and is rejected.
-_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "F": 4, "G": 2}
+# Smallest accepted rank per classical family.  C2 and D3 duplicate B2 and A3
+# and are accepted as alternative presentations of the same algebra; D2 would
+# be reducible and is rejected.
+_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 _LABEL_RE = re.compile(r"^([A-Ga-g])[_ ]?([0-9]+)$")
 
@@ -47,15 +47,10 @@ class LieType:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.family == "E":
-            if self.rank not in (6, 7, 8):
-                raise ValueError("type E exists only for ranks 6, 7, 8")
-        elif self.family == "F":
-            if self.rank != 4:
-                raise ValueError("type F exists only for rank 4")
-        elif self.family == "G":
-            if self.rank != 2:
-                raise ValueError("type G exists only for rank 2")
+        if self.is_exceptional:
+            if str(self) not in EXCEPTIONAL:
+                labels = ", ".join(x for x in EXCEPTIONAL if x[0] == self.family)
+                raise ValueError(f"type {self.family} exists only as {labels}")
         elif self.rank < _MIN_RANK[self.family]:
             raise ValueError(
                 f"type {self.family} requires rank >= {_MIN_RANK[self.family]}"
@@ -99,6 +94,28 @@ def classical_type(kind: str, dim: int) -> LieType:
             return LieType("B", (dim - 1) // 2)
         return LieType("D", dim // 2)
     raise ValueError(f"unknown classical kind {kind!r}, expected sl, sp or so")
+
+
+def defining_module(lt: LieType) -> tuple[str, int] | None:
+    """Classical kind and size of the defining module of a classical type,
+    the inverse of classical_type; None for the exceptional types."""
+    n = lt.rank
+    return {
+        "A": ("sl", n + 1),
+        "B": ("so", 2 * n + 1),
+        "C": ("sp", 2 * n),
+        "D": ("so", 2 * n),
+    }.get(lt.family)
+
+
+def all_types(max_rank: int):
+    """Every classical type from its smallest rank up to max_rank, family by
+    family (A, B, C, D), then the exceptional types."""
+    for family in "ABCD":
+        for n in range(_MIN_RANK[family], max_rank + 1):
+            yield LieType(family, n)
+    for label in EXCEPTIONAL:
+        yield LieType.parse(label)
 
 
 @dataclass(frozen=True)

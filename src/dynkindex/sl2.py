@@ -23,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from types import MappingProxyType
 
 from . import reps
-from .rootsystems import LieType, RootSystem, build
+from .rootsystems import LieType, RootSystem, _require, all_types, build, defining_module
 
 KINDS = ("sl", "sp", "so")
 
@@ -163,7 +164,7 @@ def branch_adjoint(kind: str, p: Partition) -> Sl2Module:
         n = sum(p)
         expected = n * (n + 1) // 2 if kind == "sp" else n * (n - 1) // 2
     components = tuple(sorted(out, reverse=True))
-    assert module_dimension(components) == expected
+    _require(module_dimension(components) == expected, f"{kind} branching of {p}: wrong dimension")
     return components
 
 
@@ -224,17 +225,12 @@ class IndexReport:
     value: Fraction
     routes: dict[str, Fraction] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "routes", MappingProxyType(dict(self.routes)))
+
     @property
     def consistent(self) -> bool:
         return all(v == self.value for v in self.routes.values())
-
-
-_PRINCIPAL_PARTITION = {
-    "A": lambda n: ("sl", (n + 1,)),
-    "B": lambda n: ("so", (2 * n + 1,)),
-    "C": lambda n: ("sp", (2 * n,)),
-    "D": lambda n: ("so", (2 * n - 1, 1)),
-}
 
 
 def principal_index(rs: RootSystem) -> IndexReport:
@@ -256,9 +252,10 @@ def principal_index(rs: RootSystem) -> IndexReport:
             2 * rs.dual_coxeter_number(),
         ),
     }
-    fam = rs.lie_type.family
-    if fam in _PRINCIPAL_PARTITION:
-        kind, p = _PRINCIPAL_PARTITION[fam](rs.lie_type.rank)
+    module = defining_module(rs.lie_type)
+    if module is not None:
+        kind, dim = module
+        p = (dim,) if partition_is_admissible(kind, (dim,)) else (dim - 1, 1)
         routes["partition-formula"] = classical_index(kind, p)
     return IndexReport(routes["dual-coxeter-uniform"], routes)
 
@@ -303,13 +300,14 @@ def mckay_data(lt: LieType) -> McKayData:
     rs = build(lt)
     h = rs.coxeter_number()
     a, b = sorted(ab_closed_form(lt.family, lt.rank))
-    assert a + b == h + 2, (lt, a, b, h)
-    assert (a * b) % 2 == 0
+    _require(a + b == h + 2, f"{lt}: degrees {a} + {b} differ from h + 2 = {h + 2}")
+    _require((a * b) % 2 == 0, f"{lt}: degree product {a * b} is odd")
     exps = rs.exponents()
-    assert (
+    _require(
         sum(2 * m + 1 for m in exps[:-1]) + (a - 1) + (b - 1) + (h - 1)
-        == rs.dimension
-    ), (lt, "subregular dimension check failed")
+        == rs.dimension,
+        f"{lt}: subregular dimension check failed",
+    )
     return McKayData(a, b, h, a * b // 2)
 
 
@@ -340,7 +338,8 @@ def subregular_module(rs: RootSystem) -> Sl2Module:
         raise ValueError("rank 1 has no subregular orbit")
     exps = rs.exponents()
     h = rs.coxeter_number()
-    assert exps[0] == 1 and exps[0] < exps[1] and exps[-2] < exps[-1] == h - 1
+    exps_ok = exps[0] == 1 and exps[0] < exps[1] and exps[-2] < exps[-1] == h - 1
+    _require(exps_ok, f"{rs.lie_type}: exponents {exps} do not fit h = {h}")
     data = mckay_data(rs.lie_type)
     components = tuple(
         sorted(
@@ -348,7 +347,7 @@ def subregular_module(rs: RootSystem) -> Sl2Module:
             reverse=True,
         )
     )
-    assert module_dimension(components) == rs.dimension
+    _require(module_dimension(components) == rs.dimension, f"{rs.lie_type}: wrong dimension")
     return components
 
 
@@ -412,7 +411,7 @@ class DifferenceObservation:
 def _observe(lt: LieType) -> DifferenceObservation:
     rs = build(lt)
     report = principal_minus_subregular(rs)
-    assert report.consistent, lt
+    _require(report.consistent, f"{lt}: difference routes disagree")
     d = report.value
     h = rs.coxeter_number()
     _, b = ab_closed_form(lt.family, lt.rank)
@@ -432,15 +431,12 @@ def _observe(lt: LieType) -> DifferenceObservation:
     )
 
 
-def sweep_types(max_classical_rank: int, include_exceptional: bool = True):
-    """Types covered by the empirical sweeps: classical series at their
-    conventional ranks (C from 3, D from 4) plus the exceptional algebras."""
-    for family, lo in (("A", 2), ("B", 2), ("C", 3), ("D", 4)):
-        for n in range(lo, max_classical_rank + 1):
-            yield LieType(family, n)
-    if include_exceptional:
-        for label in ("E6", "E7", "E8", "F4", "G2"):
-            yield LieType.parse(label)
+def sweep_types(max_classical_rank: int):
+    """Types covered by the empirical sweeps: the types of all_types with
+    rank at least 2, without C2 and D3 (the same algebras as B2 and A3)."""
+    for lt in all_types(max_classical_rank):
+        if lt.rank >= 2 and str(lt) not in ("C2", "D3"):
+            yield lt
 
 
 def difference_observations(max_classical_rank: int) -> list[DifferenceObservation]:

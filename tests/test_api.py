@@ -1,6 +1,11 @@
 """The package root re-exports the working surface."""
 
+import ast
+from pathlib import Path
+
 import dynkindex
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dynkindex"
 
 
 def test_root_level_api():
@@ -18,3 +23,14 @@ def test_root_level_api():
 def test_all_names_resolve():
     for name in dynkindex.__all__:
         assert getattr(dynkindex, name) is not None
+
+
+def test_no_assert_statements_in_the_library():
+    # python -O strips assert statements; invariants must raise instead.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from dynkindex import sl2
+from dynkindex import sl2, verify
 from dynkindex.cli import main, parse_algebra, read_config_file, table_payload
 from dynkindex.rootsystems import LieType
+from dynkindex.verify import CheckResult
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -246,7 +248,6 @@ def test_verify_output_is_the_same_under_python_O():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     argv = ["-m", "dynkindex.cli", "verify"]
-    argv += ["--only", "structure", "--only", "integrality"]
     runs = [
         subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True)
         for flags in ([], ["-O"])
@@ -254,6 +255,7 @@ def test_verify_output_is_the_same_under_python_O():
     assert [r.returncode for r in runs] == [0, 0]
     assert runs[0].stdout == runs[1].stdout
     assert b"13892 irreducibles checked" in runs[1].stdout
+    assert runs[1].stdout.endswith(b"10/10 checks passed\n")
 
 
 def test_table_payload_rejects_low_rank():
@@ -266,3 +268,73 @@ def test_config_reader_rejects_unknown_key(tmp_path):
     cfg.write_text("surprise = 1\n")
     with pytest.raises(ValueError):
         read_config_file(str(cfg))
+
+
+# sha256 of stdout and the exit code of each invocation, recorded before the
+# output writers were folded into one; any byte of drift fails the test.
+GOLDEN_CLI = [
+    (("table",), 0, "b4b1b08f053bc055d727e471bab8913cf6b4a4bde81764dfc7955260daec2dc6"),
+    (("table", "--format", "md"), 0, "b4b1b08f053bc055d727e471bab8913cf6b4a4bde81764dfc7955260daec2dc6"),
+    (("table", "--format", "json"), 0, "4323ac2388379256b5ce09c97e07b1bf167f16be23d003dd275dfdd58a661a74"),
+    (("table", "--format", "csv"), 0, "2efc992e7b52babeee73ca55f9b530441643aab96e88cb7b21dbc3fa0fa9bf85"),
+    (("table", "--rank", "7"), 0, "71b192444a1b5d4216c9a92f12e19ed4c264df19a322f08fe6958b2b8bc376a1"),
+    (("index", "--algebra", "sl4", "--partition", "4"), 0, "373bb06af41744434d97d48e4039b44bfe5162b76101b0b0af75c45e9a5fc727"),
+    (("index", "--algebra", "so8", "--partition", "7,1"), 0, "7057366119b1f3c6b0195e47c0be93ebfa5f42b4c1aef9cd15f4f16be2e5b502"),
+    (("index", "--algebra", "F4", "--partition", "17,9", "--via", "simplest"), 0, "673326fdc3ee79bd0514c268a70a2e3a63f56ada017e55bc43c706d2af7cf8df"),
+    (("index", "--algebra", "sl4", "--partition", "4", "--format", "md"), 0, "b47d84c1e0b2d165082fafad1b69e475dbd70a3c46b611df8aca430ab9563b82"),
+    (("index", "--algebra", "sl4", "--partition", "4", "--format", "csv"), 0, "8ba7456de43eddd3d01f3f8041476cfce9d7702118cf3d9d452b874282b0c3ec"),
+    (("rep-index", "--algebra", "E6", "--weight", "1,0,0,0,0,0"), 0, "8763e5bd73dc55db0def24bdeb6d05830a4eb116762c8966192beb3cac55ffc3"),
+    (("rep-index", "--algebra", "E6", "--weight", "1,0,0,0,0,0", "--format", "md"), 0, "8a1634e89b25f257500ec0c6f9e646fa1bddd90f9237081538b2874df44a1990"),
+    (("rep-index", "--algebra", "E6", "--weight", "1,0,0,0,0,0", "--format", "csv"), 0, "e99f019725c49db1d9e00a8e525b410114921d118f9cccbeb1ee67f1b9aac78b"),
+    (("verify",), 0, "e2fd7b060d4ea5a16aa9db86ce964b6c7b8b671865689caf013b51cc11b87700"),
+    (("verify", "--format", "json"), 0, "ba73c559efd4ead818dd1dce135704eaba941741d45326d747069bdea6527fe3"),
+    (("verify", "--only", "identities", "--max-identity-n", "10"), 0, "9807830f45dc576ecd3736abbe1aa1f6ffc30e9c44147bb32c4c59b74987eb0e"),
+    (("poset", "--kind", "sl", "--n", "6", "--format", "dot"), 0, "5e72a104e3534df5ad412efda1e5f9796f41560d19331f83f22140bef76924f1"),
+    (("poset", "--kind", "so", "--n", "7", "--format", "json"), 0, "eff3372d395207913efbabc57a3aa75562fbe65bca4d92661bf86762279f26df"),
+    (("index", "--algebra", "sp6", "--partition", "3,2,1"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("poset", "--kind", "sp", "--n", "5"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("verify", "--max-classical-rank", "0"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+def stdout_digest(out: str) -> str:
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN_CLI, ids=[" ".join(c[0]) for c in GOLDEN_CLI])
+def test_golden_cli_output(capsys, argv, code, digest):
+    got_code, out, _ = run(capsys, *argv)
+    assert (got_code, stdout_digest(out)) == (code, digest)
+
+
+GOLDEN_CONFIG = [
+    ((), "text", "51afeb0fe92fb89f5746cb75b73cf105d00e5954b27c2e4d4e65d96d98dfcea6"),
+    ((), "json", "41552c7eb268cfbc59b559cc7496fe5579ae0a733ec8cd234fbe6aa3d8e4a948"),
+    (("--max-identity-n", "8"), "text", "b6d6fd314fd4b49e0c0d308037338e26e85b579ac08e771c55a9eed7df363e9d"),
+    (("--max-identity-n", "8"), "json", "7826ad2af67c4a8eb2d51b23edd665296bbc60d7a2765838021a6204ef9b2afa"),
+    (("--only", "routes", "--max-partition-size", "6"), "text", "debce6607eecee10027d611965f9852f58220872d91e73968c41978129e44ca5"),
+    (("--only", "routes", "--max-partition-size", "6"), "json", "505c0f791b6498bdb7974da0e65ff341ed1ad739a53ade1c6e477089f082fb8f"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags,fmt,digest", GOLDEN_CONFIG, ids=[" ".join(c[0] + (c[1],)) for c in GOLDEN_CONFIG]
+)
+def test_golden_verify_flags_over_config(tmp_path, capsys, flags, fmt, digest):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("max-identity-n = 6\nonly = identities, minimal-orbit\n")
+    code, out, _ = run(capsys, "verify", "--config", str(cfg), "--format", fmt, *flags)
+    assert (code, stdout_digest(out)) == (0, digest)
+
+
+@pytest.mark.parametrize("fmt,digest", [
+    ("text", "1d879c2e07537c599478a740aa5205958f22afc8617ad39c20d456f994274852"),
+    ("json", "4ac71767e9c9ae96d112fefced91becf637180de8e4f15b4da747f34732c88dc"),
+], ids=["text", "json"])
+def test_golden_verify_failure_output(capsys, monkeypatch, fmt, digest):
+    failures = [f"sl ({i},)" for i in range(25)]  # text output shows the first 20
+    failing = CheckResult("minimal-orbit", False, "25 minimal orbits checked", failures)
+    monkeypatch.setitem(verify.CHECKS, "minimal-orbit", lambda config: failing)
+    argv = ("verify", "--only", "minimal-orbit", "--only", "unfolding", "--format", fmt)
+    code, out, _ = run(capsys, *argv)
+    assert (code, stdout_digest(out)) == (1, digest)

@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from dynkindex.rootsystems import LieType, build, classical_type
+from dynkindex.rootsystems import (
+    EXCEPTIONAL,
+    LieType,
+    all_types,
+    build,
+    classical_type,
+    defining_module,
+)
 
 ALL_SAMPLE_TYPES = [
     "A1", "A2", "A3", "A5", "A8",
@@ -103,6 +110,27 @@ def test_classical_type_mapping():
     for kind, dim in [("so", 3), ("so", 4), ("sl", 1), ("sp", 5), ("xx", 5)]:
         with pytest.raises(ValueError):
             classical_type(kind, dim)
+
+
+def test_defining_module_inverts_classical_type():
+    classical = [lt for lt in all_types(12) if not lt.is_exceptional]
+    assert len(classical) == 12 + 11 + 11 + 10
+    for lt in classical:
+        assert classical_type(*defining_module(lt)) == lt
+    assert defining_module(LieType("D", 4)) == ("so", 8)
+    for label in EXCEPTIONAL:
+        assert defining_module(LieType.parse(label)) is None
+
+
+def test_all_types_lists_every_family_from_its_smallest_rank():
+    expected = (
+        [LieType("A", n) for n in range(1, 11)]
+        + [LieType("B", n) for n in range(2, 11)]
+        + [LieType("C", n) for n in range(2, 11)]
+        + [LieType("D", n) for n in range(3, 11)]
+        + [LieType.parse(label) for label in ("E6", "E7", "E8", "F4", "G2")]
+    )
+    assert list(all_types(10)) == expected
 
 
 def test_gram_matrix_normalised_and_positive_definite():

@@ -1,12 +1,17 @@
 """Partition formulas, branchings, principal/subregular data."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from dynkindex.rootsystems import LieType, build
 from dynkindex.sl2 import (
+    IndexReport,
     ab_closed_form,
     branch_adjoint,
     branch_vector_rep,
@@ -25,10 +30,59 @@ from dynkindex.sl2 import (
     principal_index,
     principal_minus_subregular,
     subregular_module,
+    sweep_types,
     sym2,
     wedge2,
 )
 from dynkindex.orbits import enumerate_orbits
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_sweep_types_keep_the_conventional_ranks():
+    expected = (
+        [LieType("A", n) for n in range(2, 11)]
+        + [LieType("B", n) for n in range(2, 11)]
+        + [LieType("C", n) for n in range(3, 11)]
+        + [LieType("D", n) for n in range(4, 11)]
+        + [LieType.parse(label) for label in ("E6", "E7", "E8", "F4", "G2")]
+    )
+    assert list(sweep_types(10)) == expected
+
+
+def test_index_report_routes_are_read_only():
+    routes = {"a": Fraction(3)}
+    report = IndexReport(Fraction(3), routes)
+    with pytest.raises(TypeError):
+        report.routes["x"] = 1
+    routes["b"] = Fraction(4)  # the report keeps its own copy
+    assert report.routes == {"a": Fraction(3)}
+    assert sorted(report.routes.items()) == [("a", Fraction(3))]
+    assert report == IndexReport(Fraction(3), {"a": Fraction(3)})
+    assert principal_index(build("A3")).routes["kostant"] == 10
+
+
+def test_broken_degree_pair_raises_under_python_O():
+    code = (
+        "from dynkindex import sl2, verify\n"
+        "from dynkindex.rootsystems import LieType\n"
+        "sl2._AB_EXCEPTIONAL['G2'] = (4, 6)\n"
+        "try:\n"
+        "    sl2.mckay_data(LieType('G', 2))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('raised', exc)\n"
+        "result = verify.check_mckay(verify.VerifyConfig(max_classical_rank=3))\n"
+        "print(result.passed, result.failures)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0].startswith("raised G2: degrees 4 + 6")
+    assert lines[1].startswith("False ['G2: G2: degrees 4 + 6")
 
 
 def test_module_index_values():
