@@ -3,8 +3,9 @@
 Orbits are admissible partitions ordered by dominance; for sl the covering
 relations are exactly the images of two elementary degeneration moves
 (shifting one box to the next row, or collapsing a fragment a+1, a^k, a-1
-into a^(k+2)).  The central fact checked here is that the sl2-index strictly
-decreases toward the boundary.
+into a^(k+2)), and build_poset checks this against the covers it finds.
+The central fact checked here is that the sl2-index strictly decreases
+toward the boundary.
 """
 
 from __future__ import annotations
@@ -88,27 +89,27 @@ class OrbitPoset:
 def build_poset(kind: str, n: int) -> OrbitPoset:
     """Admissible partitions of n under dominance, with covering relations.
 
-    For sl the cover set is checked against the degeneration moves: every
-    cover must be reachable by one move.
+    Reverse-lexicographic order is a linear extension of dominance, so every
+    node below node j comes after it.  Filling the nodes from the last one
+    up, each keeps the bitset of the nodes strictly below it; scanning the
+    later nodes in order, a node not yet reached through an earlier find and
+    dominated by j is a cover, and brings its own bitset.  For sl the covers
+    must be exactly the degeneration moves (Brylawski, 1973).
     """
     nodes = enumerate_orbits(kind, n)
-    count = len(nodes)
-    below = [[False] * count for _ in range(count)]
-    for i, p in enumerate(nodes):
-        for j, q in enumerate(nodes):
-            if i != j and dominance_leq(p, q):
-                below[i][j] = True
-    covers = []
-    for j, upper in enumerate(nodes):  # nodes are in descending order
-        for i, lower in enumerate(nodes):
-            if not below[i][j]:
-                continue
-            if any(below[i][k] and below[k][j] for k in range(count)):
-                continue
-            covers.append((upper, lower))
+    below = [0] * len(nodes)
+    found: list[list[int]] = [[] for _ in nodes]
+    for j in reversed(range(len(nodes))):
+        reach = 0
+        for k in range(j + 1, len(nodes)):
+            if not reach >> k & 1 and dominance_leq(nodes[k], nodes[j]):
+                found[j].append(k)
+                reach |= 1 << k | below[k]
+        below[j] = reach
+    covers = [(nodes[j], nodes[k]) for j in range(len(nodes)) for k in found[j]]
     if kind == "sl":
         move_edges = {(p, m) for p in nodes for m in degeneration_moves(p)}
-        _require(set(covers) <= move_edges, "a dominance cover is not a single move")
+        _require(set(covers) == move_edges, "dominance covers are not the single moves")
     return OrbitPoset(kind, n, tuple(nodes), tuple(covers))
 
 
@@ -131,35 +132,18 @@ def monotonicity_holds(kind: str, n: int) -> bool:
 
 
 def comparable_pairs_strict(kind: str, n: int) -> bool:
-    """The stronger consequence: strict inequality for every comparable pair."""
+    """The stronger consequence: strict inequality for every comparable pair.
+
+    A node can only dominate nodes after it in reverse-lexicographic order.
+    """
     nodes = [p for p in enumerate_orbits(kind, n) if p[0] >= 2]
-    for i, p in enumerate(nodes):
-        for q in nodes[i + 1 :]:
-            if dominance_leq(q, p) and q != p:
-                if not classical_index(kind, q) < classical_index(kind, p):
-                    return False
-            elif dominance_leq(p, q) and q != p:
-                if not classical_index(kind, p) < classical_index(kind, q):
-                    return False
-    return True
-
-
-def moves_generate_dominance(n: int) -> bool:
-    """For sl: reachability by moves coincides with dominance (both ways)."""
-    nodes = list(partitions_of(n))
-    reachable: dict[Partition, set[Partition]] = {}
-    for p in reversed(nodes):  # process upward so children are done first
-        out: set[Partition] = set()
-        for m in degeneration_moves(p):
-            out.add(m)
-            out |= reachable[m]
-        reachable[p] = out
-    for p in nodes:
-        for q in nodes:
-            dominated = q != p and dominance_leq(q, p)
-            if dominated != (q in reachable[p]):
-                return False
-    return True
+    index = [classical_index(kind, p) for p in nodes]
+    return all(
+        index[k] < index[j]
+        for j, p in enumerate(nodes)
+        for k in range(j + 1, len(nodes))
+        if dominance_leq(nodes[k], p)
+    )
 
 
 # -- exports -------------------------------------------------------------------

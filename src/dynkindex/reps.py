@@ -107,18 +107,17 @@ def index_chain_rule_holds(
 
 
 # Smallest faithful representations of the exceptional algebras, as
-# fundamental-weight labels in Bourbaki numbering, with the classical target
-# they embed into.  Dimensions are recomputed and checked, so a numbering
-# mistake here cannot survive.
+# fundamental-weight labels in Bourbaki numbering, with their dimension, the
+# classical target they embed into and the index of that embedding.  Both the
+# dimension and the index are recomputed and checked, so a numbering mistake
+# here cannot survive.
 _SIMPLEST = {
-    "E6": ((1, 0, 0, 0, 0, 0), 27, "sl"),
-    "E7": ((0, 0, 0, 0, 0, 0, 1), 56, "sp"),
-    "E8": ((0, 0, 0, 0, 0, 0, 0, 1), 248, "so"),
-    "F4": ((0, 0, 0, 1), 26, "so"),
-    "G2": ((1, 0), 7, "so"),
+    "E6": ((1, 0, 0, 0, 0, 0), 27, "sl", 6),
+    "E7": ((0, 0, 0, 0, 0, 0, 1), 56, "sp", 12),
+    "E8": ((0, 0, 0, 0, 0, 0, 0, 1), 248, "so", 30),
+    "F4": ((0, 0, 0, 1), 26, "so", 3),
+    "G2": ((1, 0), 7, "so", 1),
 }
-
-_SIMPLEST_EMBEDDING_INDEX = {"E6": 6, "E7": 12, "E8": 30, "F4": 3, "G2": 1}
 
 
 def simplest_representation(lt: LieType) -> tuple[tuple[int, ...], int, str]:
@@ -127,7 +126,7 @@ def simplest_representation(lt: LieType) -> tuple[tuple[int, ...], int, str]:
     key = str(lt)
     if key not in _SIMPLEST:
         raise ValueError(f"{lt} is not exceptional")
-    weight, dim, kind = _SIMPLEST[key]
+    weight, dim, kind, _ = _SIMPLEST[key]
     _require(
         weyl_dimension(build(lt), weight) == dim, f"{lt} module is not {dim}-dimensional"
     )
@@ -144,7 +143,7 @@ def simplest_embedding_index(lt: LieType) -> int:
     vector = (1,) + (0,) * (target.rank - 1)
     ind_target = dynkin_index(target, vector).index
     value = embedding_index(ind_top, ind_target)
-    expected = _SIMPLEST_EMBEDDING_INDEX[str(lt)]
+    expected = _SIMPLEST[str(lt)][3]
     _require(value == expected, f"{lt} embedding index {value}, expected {expected}")
     return int(value)
 

@@ -24,7 +24,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import lcm, prod
+from operator import add, gt
 
 FAMILIES = "ABCDEFG"
 EXCEPTIONAL = ("E6", "E7", "E8", "F4", "G2")
@@ -187,52 +189,38 @@ def _simple_norms(cartan: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
 
 
 def _positive_root_coords(cartan: tuple[tuple[int, ...], ...]):
-    # Height-by-height closure.  For each known root we keep its vector of
-    # coroot pairings; gamma + alpha_i is a root iff the alpha_i-string below
-    # gamma is longer than that pairing.  Every root found as gamma + alpha_i
-    # records the index of gamma in the ordered list and the step i; the
-    # simple roots come first and record nothing.
+    # Closure over integer root ids, simple roots first.  Each root keeps its
+    # coroot pairings and, until it is read, the lengths of the alpha_i-strings
+    # below it: gamma + alpha_i is a root iff that length exceeds the pairing,
+    # and every edge gamma -> gamma + alpha_i records the new root's
+    # alpha_i-string as gamma's plus one.  Ids ascend with height, so reading
+    # them in order goes layer by layer and a root's strings are complete
+    # before it is read.  The first edge into a root records its parent id
+    # and step i; the simple roots record nothing.
     n = len(cartan)
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    pairing: dict[tuple[int, ...], list[int]] = {
-        simple[i]: list(cartan[i]) for i in range(n)
-    }
-    known = set(simple)
-    layer = list(simple)
-    ordered = list(simple)
+    ordered = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    ids = {coords: k for k, coords in enumerate(ordered)}
+    pairings = [list(row) for row in cartan]
+    below = {k: [0] * n for k in range(n)}
     parents: list[int] = []
     steps: list[int] = []
-    while layer:
-        nxt = []
-        for index, coords in enumerate(layer, len(ordered) - len(layer)):
-            p = pairing[coords]
-            for i in range(n):
-                if p[i] >= 0:
-                    if coords[i] <= p[i]:
-                        continue  # cannot step down far enough
-                    steps_down = 0
-                    probe = list(coords)
-                    while steps_down <= p[i]:
-                        probe[i] -= 1
-                        if tuple(probe) not in known:
-                            break
-                        steps_down += 1
-                    if steps_down <= p[i]:
-                        continue
-                up = list(coords)
-                up[i] += 1
-                new = tuple(up)
-                if new in known:
-                    continue
-                known.add(new)
-                row = cartan[i]
-                pairing[new] = [p[j] + row[j] for j in range(n)]
-                nxt.append(new)
-                parents.append(index)
+    for k, coords in enumerate(ordered):  # the list grows as roots are found
+        p = pairings[k]
+        q = below.pop(k)
+        for i in compress(range(n), map(gt, q, p)):
+            up = list(coords)
+            up[i] += 1
+            new = tuple(up)
+            m = ids.get(new)
+            if m is None:
+                m = ids[new] = len(ordered)
+                ordered.append(new)
+                pairings.append(list(map(add, p, cartan[i])))
+                below[m] = [0] * n
+                parents.append(k)
                 steps.append(i)
-        ordered.extend(nxt)
-        layer = nxt
-    return ordered, pairing, tuple(parents), tuple(steps)
+            below[m][i] = q[i] + 1
+    return ordered, pairings, tuple(parents), tuple(steps)
 
 
 def _cartan_adjugate(cartan) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -328,18 +316,19 @@ class RootSystem:
         self.gram = tuple(tuple(Fraction(g, scale) for g in row) for row in int_gram)
 
         coords_list, pairings, parents, steps = _positive_root_coords(self.cartan)
-        roots = []
-        long_total = [0] * self.rank
-        short_total = [0] * self.rank
-        for coords in coords_list:
-            p = pairings[coords]
-            scaled = sum(c * pi * w for c, pi, w in zip(coords, p, int_norms))
-            norm2 = Fraction(scaled, scale)
-            is_long = scaled == 2 * scale
-            acc = long_total if is_long else short_total
-            for k, c in enumerate(coords):
-                acc[k] += c
-            roots.append(Root(coords, sum(coords), is_long, norm2))
+        # scale * (gamma, gamma) along the parent edges:
+        # |gamma + alpha_i|^2 = |gamma|^2 + 2 d_i (<gamma, alpha_i^vee> + 1).
+        norms = [2 * w for w in int_norms]
+        for parent, i in zip(parents, steps):
+            norms.append(norms[parent] + 2 * int_norms[i] * (pairings[parent][i] + 1))
+        norm2 = {norm: Fraction(norm, scale) for norm in set(norms)}
+        roots = [
+            Root(coords, sum(coords), norm == 2 * scale, norm2[norm])
+            for coords, norm in zip(coords_list, norms)
+        ]
+        total = [sum(col) for col in zip(*coords_list)]
+        long_total = [sum(col) for col in zip(*(r.coords for r in roots if r.is_long))]
+        short_total = [t - lt for t, lt in zip(total, long_total)]
         self.positive_roots = tuple(roots)
         self.dimension = self.rank + 2 * len(roots)
 
@@ -360,7 +349,6 @@ class RootSystem:
             self.theta_short = self.theta
             self.r = 1
 
-        total = [lt + st for lt, st in zip(long_total, short_total)]
         self.rho = tuple(Fraction(t, 2) for t in total)
         # Coroot half-sum: each root contributes its coordinates divided by
         # its squared length, i.e. 1/2 for long roots and r/2 for short ones.

@@ -296,7 +296,7 @@ def ab_closed_form(family: str, n: int) -> tuple[int, int]:
 def mckay_data(lt: LieType) -> McKayData:
     """Invariant degrees attached to a simple type of rank at least 2."""
     if lt.rank < 2:
-        raise ValueError("rank 1 has no subregular orbit and no degree pair")
+        raise ValueError(f"{lt}: rank 1 has no subregular orbit and no degree pair")
     rs = build(lt)
     h = rs.coxeter_number()
     a, b = sorted(ab_closed_form(lt.family, lt.rank))
@@ -335,7 +335,7 @@ def subregular_module(rs: RootSystem) -> Sl2Module:
     three pieces of degrees a-2, b-2 and h-2.
     """
     if rs.rank < 2:
-        raise ValueError("rank 1 has no subregular orbit")
+        raise ValueError(f"{rs.lie_type}: rank 1 has no subregular orbit")
     exps = rs.exponents()
     h = rs.coxeter_number()
     exps_ok = exps[0] == 1 and exps[0] < exps[1] and exps[-2] < exps[-1] == h - 1

@@ -232,7 +232,7 @@ def check_mckay(config: VerifyConfig) -> CheckResult:
             data = sl2.mckay_data(lt)
             sub = sl2.subregular_module(rs)
         except (ValueError, ArithmeticError) as exc:
-            failures.append(f"{lt}: {exc}")
+            failures.append(str(exc))  # the messages of sl2 name the type
             continue
         if data.a + data.b != data.h + 2 or data.group_order != data.a * data.b // 2:
             failures.append(f"{lt}: degree arithmetic off")

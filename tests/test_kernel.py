@@ -1,9 +1,11 @@
 """The scaled-integer kernel of the root systems against independent oracles.
 
-The library inverts the Cartan matrix in integers on the Dynkin tree and
-evaluates the forms and the Weyl dimension over integer matrices.  The
+The library inverts the Cartan matrix in integers on the Dynkin tree,
+evaluates the forms and the Weyl dimension over integer matrices, and finds
+the positive roots by reading string lengths off recorded edges.  The
 oracles here take other routes: Gauss-Jordan over Fractions, the closed-form
-inverses of Bourbaki's Planches, and the direct products over the roots.
+inverses of Bourbaki's Planches, the direct products over the roots, and a
+closure that probes each string length against the set of known roots.
 """
 
 from fractions import Fraction
@@ -18,6 +20,8 @@ from dynkindex.rootsystems import (
     RootSystem,
     _cartan_adjugate,
     _cartan_matrix,
+    _positive_root_coords,
+    all_types,
     build,
 )
 
@@ -50,6 +54,58 @@ def invert_rational(matrix) -> tuple[tuple[Fraction, ...], ...]:
                 f = aug[r][col]
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def probed_root_coords(cartan):
+    """Oracle: height-by-height closure that measures each alpha_i-string
+    below a root by stepping down and looking the tuples up among the known
+    roots.  Returns the roots in order, their coroot pairings, and each
+    non-simple root's parent index and step."""
+    n = len(cartan)
+    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    pairing = {simple[i]: list(cartan[i]) for i in range(n)}
+    known = set(simple)
+    layer = list(simple)
+    ordered = list(simple)
+    parents, steps = [], []
+    while layer:
+        nxt = []
+        for index, coords in enumerate(layer, len(ordered) - len(layer)):
+            p = pairing[coords]
+            for i in range(n):
+                if p[i] >= 0:
+                    if coords[i] <= p[i]:
+                        continue
+                    steps_down = 0
+                    probe = list(coords)
+                    while steps_down <= p[i]:
+                        probe[i] -= 1
+                        if tuple(probe) not in known:
+                            break
+                        steps_down += 1
+                    if steps_down <= p[i]:
+                        continue
+                up = list(coords)
+                up[i] += 1
+                new = tuple(up)
+                if new in known:
+                    continue
+                known.add(new)
+                pairing[new] = [p[j] + cartan[i][j] for j in range(n)]
+                nxt.append(new)
+                parents.append(index)
+                steps.append(i)
+        ordered.extend(nxt)
+        layer = nxt
+    return ordered, [pairing[c] for c in ordered], tuple(parents), tuple(steps)
+
+
+@pytest.mark.parametrize(
+    "lt", [*all_types(20), LieType("D", 50), LieType("A", 60)], ids=str
+)
+def test_root_closure_matches_string_probe(lt):
+    cartan = _cartan_matrix(lt)
+    assert _positive_root_coords(cartan) == probed_root_coords(cartan)
 
 
 def bourbaki_inverse(family: str, n: int, i: int, j: int) -> Fraction:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from dynkindex import orbits
 from dynkindex.orbits import (
     build_poset,
     comparable_pairs_strict,
@@ -9,7 +10,6 @@ from dynkindex.orbits import (
     dominance_leq,
     enumerate_orbits,
     monotonicity_holds,
-    moves_generate_dominance,
     orbit_index,
     partitions_of,
     poset_dot,
@@ -17,6 +17,27 @@ from dynkindex.orbits import (
 )
 
 PARTITION_COUNTS = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+
+
+def cubic_poset(kind, n):
+    """Oracle: the dominance relation as an N x N bool matrix, and a pair is
+    a cover unless some third node lies strictly between."""
+    nodes = enumerate_orbits(kind, n)
+    count = len(nodes)
+    below = [[False] * count for _ in range(count)]
+    for i, p in enumerate(nodes):
+        for j, q in enumerate(nodes):
+            if i != j and dominance_leq(p, q):
+                below[i][j] = True
+    covers = []
+    for j, upper in enumerate(nodes):
+        for i, lower in enumerate(nodes):
+            if not below[i][j]:
+                continue
+            if any(below[i][k] and below[k][j] for k in range(count)):
+                continue
+            covers.append((upper, lower))
+    return tuple(nodes), tuple(covers)
 
 
 def test_partition_enumeration():
@@ -113,8 +134,32 @@ def test_comparable_pairs_sweep():
 
 
 def test_moves_match_dominance_for_sl():
+    # Covers are the reduction of dominance, so moves generate dominance.
     for n in range(2, 13):
-        assert moves_generate_dominance(n), n
+        poset = build_poset("sl", n)
+        moves = {(p, m) for p in poset.nodes for m in degeneration_moves(p)}
+        assert set(poset.covers) == moves, n
+
+
+@pytest.mark.parametrize("kind", ["sl", "sp", "so"])
+def test_covers_match_cubic_search(kind):
+    for n in range(1, 15):
+        if kind == "sp" and n % 2:
+            continue
+        poset = build_poset(kind, n)
+        assert (poset.nodes, poset.covers) == cubic_poset(kind, n), (kind, n)
+
+
+def test_move_that_is_not_a_cover_is_refused(monkeypatch):
+    real_moves = orbits.degeneration_moves
+
+    def moves_with_a_shortcut(p):
+        extra = [(2, 2, 1, 1)] if p == (4, 2) else []  # dominated, not a cover
+        return real_moves(p) + extra
+
+    monkeypatch.setattr(orbits, "degeneration_moves", moves_with_a_shortcut)
+    with pytest.raises(ArithmeticError):
+        build_poset("sl", 6)
 
 
 def test_very_even_partition_handled_once():
