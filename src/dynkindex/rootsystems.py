@@ -21,6 +21,7 @@ the 27-dimensional representation).
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -332,6 +333,17 @@ class RootSystem:
         self.positive_roots = tuple(roots)
         self.dimension = self.rank + 2 * len(roots)
 
+        # Exponents: the conjugate of the height distribution.
+        counts = Counter(r.height for r in roots)
+        exps = tuple(
+            sum(1 for k in counts.values() if k >= j) for j in range(counts[1], 0, -1)
+        )
+        _require(len(exps) == self.rank, "wrong number of exponents")
+        _require(
+            sum(2 * m + 1 for m in exps) == self.dimension, "exponents miss the dimension"
+        )
+        self._exponents = exps
+
         self.theta = max(roots, key=lambda r: r.height)
         _require(
             sum(1 for r in roots if r.height == self.theta.height) == 1,
@@ -437,19 +449,7 @@ class RootSystem:
 
     def exponents(self) -> tuple[int, ...]:
         """Exponents, read off as the conjugate of the height distribution."""
-        counts: dict[int, int] = {}
-        for root in self.positive_roots:
-            counts[root.height] = counts.get(root.height, 0) + 1
-        exps = [
-            sum(1 for k in counts.values() if k >= j)
-            for j in range(1, counts[1] + 1)
-        ]
-        exps.reverse()
-        _require(len(exps) == self.rank, "wrong number of exponents")
-        _require(
-            sum(2 * m + 1 for m in exps) == self.dimension, "exponents miss the dimension"
-        )
-        return tuple(exps)
+        return self._exponents
 
     def height_sums(self) -> tuple[int, int]:
         """Height totals over long and short positive roots.

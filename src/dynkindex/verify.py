@@ -3,12 +3,21 @@
 Each check runs an exhaustive sweep at configurable desk-scale bounds and
 reports counterexamples as data; a passing run means every identity held
 exactly, with no tolerance anywhere.
+
+A check is written as a generator over its cases that yields each case's
+failure messages, an empty list when the case holds.  The ``_check(name,
+counted)`` decorator turns it into a function from ``VerifyConfig`` to
+``CheckResult`` and registers that function in ``CHECKS`` under ``name``, in
+the order of definition; the result's detail is ``"<cases> <counted>"`` and
+its failures are listed in sweep order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 from itertools import product
 
 from . import identities, orbits, reps, sl2
@@ -36,14 +45,45 @@ class CheckResult:
     failures: list[str] = field(default_factory=list)
 
 
-def check_structure(config: VerifyConfig) -> CheckResult:
+Sweep = Callable[[VerifyConfig], Iterator[list[str]]]
+Check = Callable[[VerifyConfig], CheckResult]
+CHECKS: dict[str, Check] = {}
+
+
+def _check(name: str, counted: str) -> Callable[[Sweep], Check]:
+    """Register a sweep as the check ``name``; see the module docstring."""
+
+    def register(sweep: Sweep) -> Check:
+        @wraps(sweep)
+        def check(config: VerifyConfig) -> CheckResult:
+            failures: list[str] = []
+            cases = 0
+            for case_failures in sweep(config):
+                cases += 1
+                failures += case_failures
+            return CheckResult(name, not failures, f"{cases} {counted}", failures)
+
+        CHECKS[name] = check
+        return check
+
+    return register
+
+
+def _orbit_sizes(max_n: int) -> Iterator[tuple[str, int]]:
+    """(kind, n) for every classical kind and 2 <= n <= max_n; n is even for sp."""
+    for kind in sl2.KINDS:
+        for n in range(2, max_n + 1):
+            if kind != "sp" or n % 2 == 0:
+                yield kind, n
+
+
+@_check("structure", "root systems checked")
+def check_structure(config: VerifyConfig) -> Iterator[list[str]]:
     """Normalisation, height pairing, exponents, strange formula, and the
     equality of the coroot-norm expression with the weighted height sums."""
-    failures = []
-    count = 0
     for lt in all_types(config.max_classical_rank):
         rs = build(lt)
-        count += 1
+        failures = []
         if rs.theta.norm2 != 2:
             failures.append(f"{lt}: highest root not normalised")
         allowed = {Fraction(2), Fraction(2, rs.r)}
@@ -65,9 +105,7 @@ def check_structure(config: VerifyConfig) -> CheckResult:
             failures.append(f"{lt}: coroot norm differs from weighted height sum")
         if combined != Fraction(rs.dimension * rs.dual_coxeter_number_of_dual() * rs.r, 6):
             failures.append(f"{lt}: closed expression differs from height sum")
-    return CheckResult(
-        "structure", not failures, f"{count} root systems checked", failures
-    )
+        yield failures
 
 
 _UNFOLDING_PAIRS = (
@@ -76,164 +114,109 @@ _UNFOLDING_PAIRS = (
 )
 
 
-def check_unfolding(config: VerifyConfig) -> CheckResult:
+@_check("unfolding", "pairs checked")
+def check_unfolding(config: VerifyConfig) -> Iterator[list[str]]:
     """Weighted height sum of a multiply-laced type equals the plain height
     sum of its simply-laced unfolding."""
-    failures = []
-    pairs: list[tuple[LieType, LieType]] = []
     bound = min(config.max_classical_rank, 8)
-    for family, partner in _UNFOLDING_PAIRS:
-        for n in range(2, bound + 1):
-            pairs.append((LieType(family, n), partner(n)))
-    pairs.append((LieType.parse("F4"), LieType.parse("E6")))
-    pairs.append((LieType.parse("G2"), LieType.parse("D4")))
+    pairs = [
+        (LieType(family, n), partner(n))
+        for family, partner in _UNFOLDING_PAIRS
+        for n in range(2, bound + 1)
+    ] + [(LieType("F", 4), LieType("E", 6)), (LieType("G", 2), LieType("D", 4))]
     for folded_type, unfolded_type in pairs:
         folded = build(folded_type)
         unfolded = build(unfolded_type)
         long_sum, short_sum = folded.height_sums()
         total = sum(r.height for r in unfolded.positive_roots)
-        if long_sum + folded.r * short_sum != total:
-            failures.append(f"{folded_type} vs {unfolded_type}: height sums differ")
-    return CheckResult(
-        "unfolding", not failures, f"{len(pairs)} pairs checked", failures
-    )
+        differ = long_sum + folded.r * short_sum != total
+        yield [f"{folded_type} vs {unfolded_type}: height sums differ"] if differ else []
 
 
-def check_routes(config: VerifyConfig) -> CheckResult:
+@_check("routes", "partitions checked")
+def check_routes(config: VerifyConfig) -> Iterator[list[str]]:
     """Partition formula equals adjoint branching on every admissible orbit."""
-    failures = []
-    count = 0
-    for kind in sl2.KINDS:
-        for n in range(2, config.max_partition_size + 1):
-            if kind == "sp" and n % 2:
+    for kind, n in _orbit_sizes(config.max_partition_size):
+        for p in orbits.enumerate_orbits(kind, n):
+            if p[0] < 2:  # the zero orbit
                 continue
-            if kind == "so" and n == 2:
-                continue
-            for p in orbits.enumerate_orbits(kind, n):
-                if p[0] < 2:
-                    continue
-                count += 1
-                direct = sl2.classical_index(kind, p)
-                branched = sl2.index_via_adjoint(kind, p)
-                if direct != branched:
-                    failures.append(f"{kind} {p}: {direct} != {branched}")
-    return CheckResult(
-        "routes", not failures, f"{count} partitions checked", failures
-    )
+            direct = sl2.classical_index(kind, p)
+            branched = sl2.index_via_adjoint(kind, p)
+            yield [f"{kind} {p}: {direct} != {branched}"] if direct != branched else []
 
 
-def check_principal(config: VerifyConfig) -> CheckResult:
+@_check("principal", "types checked")
+def check_principal(config: VerifyConfig) -> Iterator[list[str]]:
     """All principal-index routes agree for every type."""
-    failures = []
-    count = 0
     for lt in all_types(config.max_classical_rank):
-        count += 1
         report = sl2.principal_index(build(lt))
-        if not report.consistent:
-            failures.append(f"{lt}: {dict(report.routes)}")
-    return CheckResult(
-        "principal", not failures, f"{count} types checked", failures
-    )
+        yield [] if report.consistent else [f"{lt}: {dict(report.routes)}"]
 
 
-def check_identities(config: VerifyConfig) -> CheckResult:
+@_check("identities", "instances checked")
+def check_identities(config: VerifyConfig) -> Iterator[list[str]]:
     """The three identity families over all partitions up to the bound."""
-    failures = []
-    count = 0
     for family in identities.FAMILIES:
         for inst in identities.sweep(family, config.max_identity_n):
-            count += 1
-            if not inst.holds:
-                failures.append(
-                    f"{family} {inst.partition}: {inst.lhs} != {inst.rhs}"
-                )
-    return CheckResult(
-        "identities", not failures, f"{count} instances checked", failures
-    )
+            yield [] if inst.holds else [f"{family} {inst.partition}: {inst.lhs} != {inst.rhs}"]
 
 
-def check_monotonicity(config: VerifyConfig) -> CheckResult:
+@_check("monotonicity", "posets checked")
+def check_monotonicity(config: VerifyConfig) -> Iterator[list[str]]:
     """Strict index decrease along covers, and across comparable pairs."""
-    failures = []
-    posets = 0
-    for kind in sl2.KINDS:
-        for n in range(2, config.max_partition_size + 1):
-            if kind == "sp" and n % 2:
-                continue
-            posets += 1
-            if not orbits.monotonicity_holds(kind, n):
-                failures.append(f"{kind} n={n}: cover with non-decreasing index")
-            if n <= 10 and not orbits.comparable_pairs_strict(kind, n):
-                failures.append(f"{kind} n={n}: comparable pair out of order")
-    return CheckResult(
-        "monotonicity", not failures, f"{posets} posets checked", failures
-    )
+    for kind, n in _orbit_sizes(config.max_partition_size):
+        failures = []
+        if not orbits.monotonicity_holds(kind, n):
+            failures.append(f"{kind} n={n}: cover with non-decreasing index")
+        if n <= 10 and not orbits.comparable_pairs_strict(kind, n):
+            failures.append(f"{kind} n={n}: comparable pair out of order")
+        yield failures
 
 
-def check_integrality(config: VerifyConfig) -> CheckResult:
+@_check("integrality", "irreducibles checked")
+def check_integrality(config: VerifyConfig) -> Iterator[list[str]]:
     """Dynkin index of small-coordinate irreducibles is an integer."""
-    failures = []
-    count = 0
     for lt in all_types(min(config.max_classical_rank, 6)):
         rs = build(lt)
         for weight in product(range(3), repeat=rs.rank):
             if not any(weight):
                 continue
-            count += 1
             report = reps.dynkin_index(rs, weight)
-            if not report.is_integer:
-                failures.append(f"{lt} {weight}: index {report.index}")
-    return CheckResult(
-        "integrality", not failures, f"{count} irreducibles checked", failures
-    )
+            yield [] if report.is_integer else [f"{lt} {weight}: index {report.index}"]
 
 
-def check_minimal_orbit(config: VerifyConfig) -> CheckResult:
+@_check("minimal-orbit", "minimal orbits checked")
+def check_minimal_orbit(config: VerifyConfig) -> Iterator[list[str]]:
     """The minimal orbit has index exactly 1 in every classical algebra."""
-    failures = []
-    count = 0
     for n in range(2, 21):
-        for kind, p in (("sl", (2,) + (1,) * (n - 2)), ("sp", (2,) + (1,) * (n - 2))):
-            if kind == "sp" and n % 2:
-                continue
-            count += 1
-            if sl2.classical_index(kind, p) != 1:
-                failures.append(f"{kind} {p}")
+        minimal = [("sl", (2,) + (1,) * (n - 2))]
+        if n % 2 == 0:
+            minimal.append(("sp", (2,) + (1,) * (n - 2)))
         if n >= 4:
-            p = (2, 2) + (1,) * (n - 4)
-            count += 1
-            if sl2.classical_index("so", p) != 1:
-                failures.append(f"so {p}")
-    return CheckResult(
-        "minimal-orbit", not failures, f"{count} minimal orbits checked", failures
-    )
+            minimal.append(("so", (2, 2) + (1,) * (n - 4)))
+        for kind, p in minimal:
+            yield [] if sl2.classical_index(kind, p) == 1 else [f"{kind} {p}"]
 
 
-def check_difference_bounds(config: VerifyConfig) -> CheckResult:
+@_check("difference-bounds", "types observed")
+def check_difference_bounds(config: VerifyConfig) -> Iterator[list[str]]:
     """Empirical bounds and series constants for the difference D."""
-    observations = sl2.difference_observations(config.max_classical_rank)
-    ok, failures = sl2.difference_observations_ok(observations)
-    return CheckResult(
-        "difference-bounds",
-        ok,
-        f"{len(observations)} types observed",
-        failures,
-    )
+    for observation in sl2.difference_observations(config.max_classical_rank):
+        yield sl2.difference_observations_ok([observation])[1]
 
 
-def check_mckay(config: VerifyConfig) -> CheckResult:
+@_check("mckay", "types checked")
+def check_mckay(config: VerifyConfig) -> Iterator[list[str]]:
     """Degree pairs, group orders, subregular dimensions, series coefficients."""
-    failures = []
-    count = 0
     for lt in sl2.sweep_types(config.max_classical_rank):
-        count += 1
         rs = build(lt)
         try:
             data = sl2.mckay_data(lt)
             sub = sl2.subregular_module(rs)
         except (ValueError, ArithmeticError) as exc:
-            failures.append(str(exc))  # the messages of sl2 name the type
+            yield [str(exc)]  # the messages of sl2 name the type
             continue
+        failures = []
         if data.a + data.b != data.h + 2 or data.group_order != data.a * data.b // 2:
             failures.append(f"{lt}: degree arithmetic off")
         if sl2.module_dimension(sub) != rs.dimension:
@@ -241,25 +224,13 @@ def check_mckay(config: VerifyConfig) -> CheckResult:
         coeffs = sl2.invariant_series_coefficients(data, 2 * data.h)
         if any(c < 0 for c in coeffs) or coeffs[0] != 1:
             failures.append(f"{lt}: invariant series coefficients off")
-    return CheckResult("mckay", not failures, f"{count} types checked", failures)
-
-
-CHECKS = {
-    "structure": check_structure,
-    "unfolding": check_unfolding,
-    "routes": check_routes,
-    "principal": check_principal,
-    "identities": check_identities,
-    "monotonicity": check_monotonicity,
-    "integrality": check_integrality,
-    "minimal-orbit": check_minimal_orbit,
-    "difference-bounds": check_difference_bounds,
-    "mckay": check_mckay,
-}
+        yield failures
 
 
 def run_checks(config: VerifyConfig) -> list[CheckResult]:
-    names = config.families if config.families else tuple(CHECKS)
+    """Run the named checks (every check by default), each once, in the
+    order of first mention."""
+    names = tuple(dict.fromkeys(config.families)) if config.families else tuple(CHECKS)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ValueError(

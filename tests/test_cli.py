@@ -185,6 +185,17 @@ def test_verify_subset(capsys):
     assert "identities" in out and "1/1 checks passed" in out
 
 
+def test_verify_runs_a_repeated_check_once(tmp_path, capsys):
+    code, out, _ = run(capsys, "verify", "--only", "minimal-orbit", "--only", "minimal-orbit")
+    assert code == 0
+    assert out == "ok   minimal-orbit      46 minimal orbits checked\n1/1 checks passed\n"
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("only = routes, unfolding, routes\nmax-partition-size = 4\n")
+    code, out, _ = run(capsys, "verify", "--config", str(cfg), "--format", "json")
+    assert code == 0
+    assert [c["name"] for c in json.loads(out)["checks"]] == ["routes", "unfolding"]
+
+
 def test_verify_json(capsys):
     code, out, _ = run(
         capsys, "verify", "--only", "minimal-orbit", "--format", "json"
@@ -271,7 +282,8 @@ def test_config_reader_rejects_unknown_key(tmp_path):
 
 
 # sha256 of stdout and the exit code of each invocation, recorded before the
-# output writers were folded into one; any byte of drift fails the test.
+# output writers were folded into one (the two verify runs at small bounds
+# before the checks shared one runner); any byte of drift fails the test.
 GOLDEN_CLI = [
     (("table",), 0, "b4b1b08f053bc055d727e471bab8913cf6b4a4bde81764dfc7955260daec2dc6"),
     (("table", "--format", "md"), 0, "b4b1b08f053bc055d727e471bab8913cf6b4a4bde81764dfc7955260daec2dc6"),
@@ -289,6 +301,8 @@ GOLDEN_CLI = [
     (("verify",), 0, "e2fd7b060d4ea5a16aa9db86ce964b6c7b8b671865689caf013b51cc11b87700"),
     (("verify", "--format", "json"), 0, "ba73c559efd4ead818dd1dce135704eaba941741d45326d747069bdea6527fe3"),
     (("verify", "--only", "identities", "--max-identity-n", "10"), 0, "9807830f45dc576ecd3736abbe1aa1f6ffc30e9c44147bb32c4c59b74987eb0e"),
+    (("verify", "--max-classical-rank", "2", "--max-partition-size", "2", "--max-identity-n", "2"), 0, "d632eb1288d04c76d324f25244f31828da5ddac4bcde4399c494afa3327f3141"),
+    (("verify", "--max-classical-rank", "4", "--max-partition-size", "6", "--max-identity-n", "5", "--format", "json"), 0, "b1954f408b8c4ed84dffed6d891e1f6f786b9602f8f0ffea7f547c4a3528bb08"),
     (("poset", "--kind", "sl", "--n", "6", "--format", "dot"), 0, "5e72a104e3534df5ad412efda1e5f9796f41560d19331f83f22140bef76924f1"),
     (("poset", "--kind", "so", "--n", "7", "--format", "json"), 0, "eff3372d395207913efbabc57a3aa75562fbe65bca4d92661bf86762279f26df"),
     (("index", "--algebra", "sp6", "--partition", "3,2,1"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
