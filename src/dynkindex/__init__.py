@@ -31,6 +31,7 @@ from .sl2 import (
     IndexReport,
     McKayData,
     branch_adjoint,
+    branch_adjoint_multiplicities,
     branch_vector_rep,
     classical_index,
     clebsch_gordan,
@@ -62,6 +63,7 @@ __all__ = [
     "VerifyConfig",
     "adjoint_index",
     "branch_adjoint",
+    "branch_adjoint_multiplicities",
     "branch_vector_rep",
     "build",
     "build_poset",

@@ -16,7 +16,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from . import orbits, reps, sl2
 from .rootsystems import EXCEPTIONAL, LieType, _require, build, classical_type, defining_module
@@ -297,7 +297,13 @@ def _cmd_poset(args, out) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    Parsing keeps no state between calls: each parse_args returns a fresh
+    namespace, so one parser serves every main() of a process.
+    """
     parser = argparse.ArgumentParser(
         prog="dynkindex",
         description="Exact Dynkin indices of representations and sl2-subalgebras.",
@@ -356,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
     except (ValueError, OSError) as exc:

@@ -17,6 +17,7 @@ from .rootsystems import (
     EXCEPTIONAL,
     LieType,
     RootSystem,
+    _int_bilinear,
     _require,
     build,
     classical_type,
@@ -50,7 +51,11 @@ def weyl_dimension(rs: RootSystem, weight) -> int:
     plus (lambda_i + 1) * d_i, so the result is exact for arbitrarily large
     weights.
     """
-    weight = _check_weight(rs, weight)
+    return _weyl_dimension(rs, _check_weight(rs, weight))
+
+
+def _weyl_dimension(rs: RootSystem, weight: tuple[int, ...]) -> int:
+    # weyl_dimension on a weight that _check_weight has already returned.
     shifted = [(wi + 1) * d for wi, d in zip(weight, rs._int_norms)]
     dim, rem = divmod(prod(rs._scaled_root_pairings(shifted)), rs._rho_product)
     _require(rem == 0, f"Weyl dimension of {weight} in {rs.lie_type} is not an integer")
@@ -60,14 +65,18 @@ def weyl_dimension(rs: RootSystem, weight) -> int:
 def dynkin_index(rs: RootSystem, weight) -> RepIndexReport:
     """Index of the irreducible module with the given highest weight.
 
-    The zero weight yields the trivial module, reported with index 0.
+    dim(V) (lambda, lambda + 2 rho) / dim(g), with the form summed in
+    integers over the weight Gram matrix scaled by det C * ``_scale``, so
+    the quotient is one Fraction.  The zero weight yields the trivial
+    module, reported with index 0.
     """
     weight = _check_weight(rs, weight)
     if not any(weight):
         return RepIndexReport(1, Fraction(0), True)
-    dim = weyl_dimension(rs, weight)
-    shifted = tuple(w + 2 for w in weight)
-    value = Fraction(dim, rs.dimension) * rs.weight_form(weight, shifted)
+    dim = _weyl_dimension(rs, weight)
+    shifted = [w + 2 for w in weight]
+    form = _int_bilinear(rs._weight_gram, weight, shifted)
+    value = Fraction(dim * form, rs.dimension * rs._det * rs._scale)
     return RepIndexReport(dim, value, value.denominator == 1)
 
 

@@ -285,15 +285,20 @@ def _clear_denominators(vector) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in vector], den
 
 
-def _bilinear(matrix, x, y, scale: int) -> Fraction:
-    # x^T matrix y / scale for an integer matrix: integer sums, one Fraction.
-    xs, dx = _clear_denominators(x)
-    ys, dy = _clear_denominators(y)
+def _int_bilinear(matrix, xs, ys) -> int:
+    # xs^T matrix ys for integer vectors and an integer matrix.
     total = 0
     for xi, row in zip(xs, matrix):
         if xi:
             total += xi * sum(m * yj for m, yj in zip(row, ys) if yj)
-    return Fraction(total, scale * dx * dy)
+    return total
+
+
+def _bilinear(matrix, x, y, scale: int) -> Fraction:
+    # x^T matrix y / scale for an integer matrix: integer sums, one Fraction.
+    xs, dx = _clear_denominators(x)
+    ys, dy = _clear_denominators(y)
+    return Fraction(_int_bilinear(matrix, xs, ys), scale * dx * dy)
 
 
 class RootSystem:
@@ -314,7 +319,6 @@ class RootSystem:
             tuple(c * w for c, w in zip(row, int_norms)) for row in self.cartan
         )
         _require(int_gram == tuple(zip(*int_gram)), "Gram matrix is not symmetric")
-        self.gram = tuple(tuple(Fraction(g, scale) for g in row) for row in int_gram)
 
         coords_list, pairings, parents, steps = _positive_root_coords(self.cartan)
         # scale * (gamma, gamma) along the parent edges:

@@ -20,6 +20,7 @@ are kept separate so that any disagreement is visible as data.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -32,6 +33,7 @@ KINDS = ("sl", "sp", "so")
 
 Partition = tuple[int, ...]
 Sl2Module = tuple[int, ...]
+Sl2Multiset = tuple[tuple[int, int], ...]  # (label, multiplicity) pairs
 
 
 def binom3(m: int) -> int:
@@ -138,41 +140,63 @@ def classical_index(kind: str, p: Partition) -> Fraction:
     return Fraction(total, 2 if kind == "so" else 1)
 
 
-def branch_adjoint(kind: str, p: Partition) -> Sl2Module:
-    """Restriction of sl/sp/so (on the module of Jordan type p) to the sl2.
+def branch_adjoint_multiplicities(kind: str, p: Partition) -> Sl2Multiset:
+    """Restriction of sl/sp/so (on the module of Jordan type p) to the sl2,
+    as (label, multiplicity) pairs with labels descending.
 
     sl(V) is V tensor V* minus one trivial summand, sp(V) the symmetric
-    square, so(V) the exterior square.
+    square, so(V) the exterior square.  V is grouped by part size: two
+    distinct sizes a, b with multiplicities m_a, m_b give CG(a, b) m_a m_b
+    times; one size with multiplicity m gives CG(a, a) C(m, 2) times in the
+    cross terms and m copies of Sym^2 or Lambda^2 of itself.  The work is
+    quadratic in the number of distinct parts, not in the number of parts.
     """
     p = normalize_partition(p)
     _require_admissible(kind, p)
-    v = branch_vector_rep(p)
-    out: list[int] = []
+    counts = Counter(branch_vector_rep(p))
+    sizes = sorted(counts, reverse=True)
+    out: Counter[int] = Counter()
+
+    def add(components: Sl2Module, times: int) -> None:
+        for d in components:
+            out[d] += times
+
+    n = sum(p)
     if kind == "sl":
-        for a in v:
-            for b in v:
-                out.extend(clebsch_gordan(a, b))
-        out.remove(0)
-        expected = sum(p) ** 2 - 1
+        for a in sizes:
+            for b in sizes:
+                add(clebsch_gordan(a, b), counts[a] * counts[b])
+        out[0] -= 1
+        expected = n * n - 1
     else:
         square = sym2 if kind == "sp" else wedge2
-        for i, a in enumerate(v):
-            for b in v[i + 1 :]:
-                out.extend(clebsch_gordan(a, b))
-        for a in v:
-            out.extend(square(a))
-        n = sum(p)
+        for i, a in enumerate(sizes):
+            m = counts[a]
+            for b in sizes[i + 1 :]:
+                add(clebsch_gordan(a, b), m * counts[b])
+            add(clebsch_gordan(a, a), comb(m, 2))
+            add(square(a), m)
         expected = n * (n + 1) // 2 if kind == "sp" else n * (n - 1) // 2
-    components = tuple(sorted(out, reverse=True))
-    _require(module_dimension(components) == expected, f"{kind} branching of {p}: wrong dimension")
-    return components
+    pairs = tuple(sorted(((d, m) for d, m in out.items() if m), reverse=True))
+    dimension = sum((d + 1) * m for d, m in pairs)
+    _require(dimension == expected, f"{kind} branching of {p}: wrong dimension")
+    return pairs
+
+
+def branch_adjoint(kind: str, p: Partition) -> Sl2Module:
+    """Restriction of sl/sp/so to the sl2 of Jordan type p, one entry per
+    irreducible, descending: the expansion of branch_adjoint_multiplicities."""
+    return tuple(
+        d for d, m in branch_adjoint_multiplicities(kind, p) for _ in range(m)
+    )
 
 
 def index_via_adjoint(kind: str, p: Partition) -> Fraction:
     """Index of the orbit's sl2 from the adjoint branching.
 
-    Divides the index of the branched adjoint module by twice the dual
-    Coxeter number of sl/sp/so, which only depends on the module size.
+    Divides the index of the branched adjoint module, summed over its
+    (label, multiplicity) pairs, by twice the dual Coxeter number of
+    sl/sp/so, which only depends on the module size.
     """
     p = normalize_partition(p)
     _require_nonzero(p)
@@ -185,7 +209,8 @@ def index_via_adjoint(kind: str, p: Partition) -> Fraction:
         dual_coxeter = n - 2
         if dual_coxeter <= 0:
             raise ValueError("so requires module dimension at least 3")
-    return Fraction(module_index(branch_adjoint(kind, p)), 2 * dual_coxeter)
+    pairs = branch_adjoint_multiplicities(kind, p)
+    return Fraction(sum(binom3(d + 2) * m for d, m in pairs), 2 * dual_coxeter)
 
 
 def index_via_simplest_rep(lt: LieType, p: Partition) -> Fraction:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from dynkindex import sl2, verify
-from dynkindex.cli import main, parse_algebra, read_config_file, table_payload
+from dynkindex.cli import build_parser, main, parse_algebra, read_config_file, table_payload
 from dynkindex.rootsystems import LieType
 from dynkindex.verify import CheckResult
 
@@ -319,6 +319,72 @@ def stdout_digest(out: str) -> str:
 def test_golden_cli_output(capsys, argv, code, digest):
     got_code, out, _ = run(capsys, *argv)
     assert (got_code, stdout_digest(out)) == (code, digest)
+
+
+# argparse refusals (exit 2 with usage on stderr) sent between the goldens.
+USAGE_ERRORS = [
+    ("bogus",),
+    ("index", "--algebra", "sl4"),
+    ("table", "--format", "xml"),
+    ("verify", "--only"),
+    ("poset", "--kind", "sl", "--n", "six"),
+]
+
+
+def usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    return captured.err
+
+
+def test_one_parser_serves_every_call_without_leaking_state(capsys):
+    parser = build_parser()
+    errors = {}
+    # The goldens twice, the second time in reverse, a usage error before each.
+    for i, (argv, code, digest) in enumerate(GOLDEN_CLI + GOLDEN_CLI[::-1]):
+        bad = USAGE_ERRORS[i % len(USAGE_ERRORS)]
+        err = usage_error(capsys, bad)
+        assert errors.setdefault(bad, err) == err
+        got_code, out, _ = run(capsys, *argv)
+        assert (got_code, stdout_digest(out)) == (code, digest), argv
+    assert build_parser() is parser
+
+
+def test_only_does_not_carry_over_to_the_next_verify(capsys):
+    code, out, _ = run(capsys, "verify", "--only", "routes")
+    assert code == 0 and out.endswith("1/1 checks passed\n")
+    argv = ("verify", "--max-classical-rank", "2", "--max-partition-size", "2",
+            "--max-identity-n", "2")
+    code, out, _ = run(capsys, *argv)
+    assert out.endswith("10/10 checks passed\n")
+    assert (argv, code, stdout_digest(out)) in GOLDEN_CLI
+
+
+def test_help_is_the_same_on_first_and_second_call(capsys):
+    def help_texts():
+        texts = []
+        for command in ((), ("table",), ("index",), ("rep-index",), ("verify",), ("poset",)):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        return texts
+
+    build_parser.cache_clear()
+    first = help_texts()
+    assert build_parser.cache_info().misses == 1
+    assert help_texts() == first
+    assert build_parser.cache_info().misses == 1
+
+
+def test_parser_is_not_built_at_import():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = "from dynkindex import cli; print(cli.build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
 GOLDEN_CONFIG = [

@@ -203,13 +203,19 @@ def test_weight_form_matches_fraction_reference(case):
     assert rs.weight_form(a, b) == rs.weight_form(b, a)
 
 
+def fraction_gram(rs):
+    """Oracle: the Gram matrix of the simple roots, one Fraction per entry."""
+    return [[Fraction(g, rs._scale) for g in row] for row in rs._int_gram]
+
+
 def test_form_matches_fraction_gram():
     for label in SAMPLE_TYPES:
         rs = build(label)
+        gram = fraction_gram(rs)
         for x in (rs.rho, rs.rho_check, rs.theta.coords):
             for y in (rs.rho, rs.theta.coords, rs.theta_short.coords):
                 expected = sum(
-                    xi * yj * rs.gram[i][j]
+                    xi * yj * gram[i][j]
                     for i, xi in enumerate(x)
                     for j, yj in enumerate(y)
                 )

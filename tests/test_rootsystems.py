@@ -140,9 +140,9 @@ def test_gram_matrix_normalised_and_positive_definite():
         assert rs.theta.norm2 == 2
         for root in rs.positive_roots:
             assert root.norm2 == (2 if root.is_long else Fraction(2, rs.r))
-        # leading principal minors of the Gram matrix, by fraction-free
-        # elimination on a copy
-        m = [[Fraction(rs.gram[i][j]) for j in range(n)] for i in range(n)]
+        # leading principal minors of the Gram matrix, rebuilt as Fractions
+        # from its scaled integers, by elimination on a copy
+        m = [[Fraction(rs._int_gram[i][j], rs._scale) for j in range(n)] for i in range(n)]
         det = Fraction(1)
         for col in range(n):
             assert m[col][col] != 0

@@ -3,17 +3,22 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dynkindex.rootsystems import LieType, build
 from dynkindex.sl2 import (
     IndexReport,
     ab_closed_form,
+    KINDS,
     branch_adjoint,
+    branch_adjoint_multiplicities,
     branch_vector_rep,
     classical_index,
     clebsch_gordan,
@@ -37,6 +42,24 @@ from dynkindex.sl2 import (
 from dynkindex.orbits import enumerate_orbits
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def pairwise_branch_adjoint(kind, p):
+    """Oracle: Clebsch-Gordan over every pair of parts, one at a time."""
+    v = branch_vector_rep(normalize_partition(p))
+    out = []
+    if kind == "sl":
+        for a in v:
+            for b in v:
+                out.extend(clebsch_gordan(a, b))
+        out.remove(0)
+    else:
+        square = sym2 if kind == "sp" else wedge2
+        for i, a in enumerate(v):
+            for b in v[i + 1 :]:
+                out.extend(clebsch_gordan(a, b))
+            out.extend(square(a))
+    return tuple(sorted(out, reverse=True))
 
 
 def test_sweep_types_keep_the_conventional_ranks():
@@ -179,6 +202,50 @@ def test_adjoint_route_examples():
     assert index_via_adjoint("sl", (4,)) == 10
     assert index_via_adjoint("sp", (2, 2)) == 2
     assert index_via_adjoint("so", (2, 2, 1)) == 1
+
+
+def assert_grouped_branching_matches_pairwise(kind, p):
+    expected = pairwise_branch_adjoint(kind, p)
+    pairs = tuple(sorted(Counter(expected).items(), reverse=True))
+    assert branch_adjoint_multiplicities(kind, p) == pairs, (kind, p)
+    assert branch_adjoint(kind, p) == expected, (kind, p)
+
+
+def test_grouped_branching_matches_pairwise_to_n_14():
+    for kind in KINDS:
+        for n in range(1, 15):
+            if kind == "sp" and n % 2:
+                continue
+            for p in enumerate_orbits(kind, n):
+                assert_grouped_branching_matches_pairwise(kind, p)
+
+
+# Part sizes up to 25, each repeated up to 50 // size times: at most 200 boxes
+# in four groups, so long runs of equal parts are common.
+PART_GROUPS = st.lists(
+    st.integers(1, 25).flatmap(lambda a: st.tuples(st.just(a), st.integers(1, 50 // a))),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(st.sampled_from(KINDS), PART_GROUPS)
+@settings(max_examples=60, deadline=None)
+def test_grouped_branching_matches_pairwise_on_repeated_parts(kind, groups):
+    # Parts of the parity sp or so must pair up get an even multiplicity.
+    paired = {"sl": None, "sp": 1, "so": 0}[kind]
+    parts = []
+    for a, m in groups:
+        parts += [a] * (m - m % 2 if a % 2 == paired else m)
+    assume(parts)
+    assert_grouped_branching_matches_pairwise(kind, tuple(parts))
+
+
+def test_minimal_orbits_with_many_parts_have_index_one():
+    # Dynkin (1952): the minimal orbit has index 1; here with up to 1999 parts.
+    assert index_via_adjoint("sl", (2,) + (1,) * 1998) == 1
+    assert index_via_adjoint("sp", (2,) + (1,) * 198) == 1
+    assert index_via_adjoint("so", (2, 2) + (1,) * 196) == 1
 
 
 def test_route_equivalence_sweep():
