@@ -31,7 +31,6 @@ from .sl2 import (
     IndexReport,
     McKayData,
     branch_adjoint,
-    branch_adjoint_multiplicities,
     branch_vector_rep,
     classical_index,
     clebsch_gordan,
@@ -63,7 +62,6 @@ __all__ = [
     "VerifyConfig",
     "adjoint_index",
     "branch_adjoint",
-    "branch_adjoint_multiplicities",
     "branch_vector_rep",
     "build",
     "build_poset",

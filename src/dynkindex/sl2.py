@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, groupby, repeat
 from math import comb
 from types import MappingProxyType
 
@@ -93,8 +94,9 @@ def module_dimension(components: Sl2Module) -> int:
 
 
 def module_index(components: Sl2Module) -> int:
-    """Index of a direct sum of sl2-irreducibles: sum of C(d+2, 3)."""
-    return sum(binom3(d + 2) for d in components)
+    """Index of a direct sum of sl2-irreducibles: sum of C(d+2, 3), taken
+    once per run of equal labels (a descending module has one run a label)."""
+    return sum(binom3(d + 2) * len(list(run)) for d, run in groupby(components))
 
 
 def branch_vector_rep(p: Partition) -> Sl2Module:
@@ -148,8 +150,9 @@ def branch_adjoint_multiplicities(kind: str, p: Partition) -> Sl2Multiset:
     square, so(V) the exterior square.  V is grouped by part size: two
     distinct sizes a, b with multiplicities m_a, m_b give CG(a, b) m_a m_b
     times; one size with multiplicity m gives CG(a, a) C(m, 2) times in the
-    cross terms and m copies of Sym^2 or Lambda^2 of itself.  The work is
-    quadratic in the number of distinct parts, not in the number of parts.
+    cross terms and m copies of Sym^2 or Lambda^2 of itself.  The
+    Clebsch-Gordan work is quadratic in the number of distinct part sizes,
+    not in the number of parts.
     """
     p = normalize_partition(p)
     _require_admissible(kind, p)
@@ -186,17 +189,15 @@ def branch_adjoint_multiplicities(kind: str, p: Partition) -> Sl2Multiset:
 def branch_adjoint(kind: str, p: Partition) -> Sl2Module:
     """Restriction of sl/sp/so to the sl2 of Jordan type p, one entry per
     irreducible, descending: the expansion of branch_adjoint_multiplicities."""
-    return tuple(
-        d for d, m in branch_adjoint_multiplicities(kind, p) for _ in range(m)
-    )
+    pairs = branch_adjoint_multiplicities(kind, p)
+    return tuple(chain.from_iterable(repeat(d, m) for d, m in pairs))
 
 
 def index_via_adjoint(kind: str, p: Partition) -> Fraction:
     """Index of the orbit's sl2 from the adjoint branching.
 
-    Divides the index of the branched adjoint module, summed over its
-    (label, multiplicity) pairs, by twice the dual Coxeter number of
-    sl/sp/so, which only depends on the module size.
+    Divides the index of the branched adjoint module by twice the dual
+    Coxeter number of sl/sp/so, which only depends on the module size.
     """
     p = normalize_partition(p)
     _require_nonzero(p)
@@ -209,8 +210,7 @@ def index_via_adjoint(kind: str, p: Partition) -> Fraction:
         dual_coxeter = n - 2
         if dual_coxeter <= 0:
             raise ValueError("so requires module dimension at least 3")
-    pairs = branch_adjoint_multiplicities(kind, p)
-    return Fraction(sum(binom3(d + 2) * m for d, m in pairs), 2 * dual_coxeter)
+    return Fraction(module_index(branch_adjoint(kind, p)), 2 * dual_coxeter)
 
 
 def index_via_simplest_rep(lt: LieType, p: Partition) -> Fraction:

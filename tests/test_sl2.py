@@ -112,6 +112,9 @@ def test_module_index_values():
     assert module_index((1,)) == 1
     assert module_index((2,)) == 4
     assert module_index((16, 8)) == 816 + 120
+    # Equal labels need not be adjacent: each run is counted on its own.
+    assert module_index((2, 1, 2, 2, 0, 1)) == 3 * 4 + 2 * 1
+    assert module_index(()) == 0
 
 
 def test_partition_normalisation():
