@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache, partial
 
 from . import orbits, reps, sl2
-from .rootsystems import EXCEPTIONAL, LieType, _require, build, classical_type, defining_module
+from .rootsystems import EXCEPTIONAL, LieType, build, classical_type, defining_module
 from .verify import CHECKS, VerifyConfig, run_checks
 
 _MATRIX_RE = re.compile(r"^(sl|sp|so)[_ ]?([0-9]+)$", re.IGNORECASE)
@@ -60,10 +60,6 @@ def frac(value) -> str:
 _QUANTITIES = ("principal-index", "difference", "a", "b", "ratio")
 
 
-class RouteDisagreement(RuntimeError):
-    """Two routes to one table cell gave different values."""
-
-
 _FORMS = {
     "A": {"principal-index": "C(n+2,3)", "difference": "C(n+1,2)", "b": "n+1"},
     "B": {"principal-index": "C(2n+2,3)/2", "difference": "2n^2", "b": "2n"},
@@ -78,16 +74,15 @@ def _column(lt: LieType) -> dict:
     difference = sl2.principal_minus_subregular(rs)
     for quantity, report in (("principal-index", principal), ("difference", difference)):
         if not report.consistent:
-            routes = ", ".join(f"{k}={frac(v)}" for k, v in sorted(report.routes.items()))
-            raise RouteDisagreement(f"route disagreement for {lt} {quantity}: {routes}")
-    a, b = sl2.ab_closed_form(lt.family, lt.rank)
+            raise ArithmeticError(report.disagreement(f"{lt} {quantity}"))
+    data = sl2.mckay_data(lt)
     forms = _FORMS.get(lt.family, {})
     cells = {
         "principal-index": {"form": forms.get("principal-index"), "value": frac(principal.value)},
         "difference": {"form": forms.get("difference"), "value": frac(difference.value)},
-        "a": {"form": None, "value": str(a)},
-        "b": {"form": forms.get("b"), "value": str(b)},
-        "ratio": {"form": None, "value": frac(difference.value / (b * lt.rank))},
+        "a": {"form": None, "value": str(data.a)},
+        "b": {"form": forms.get("b"), "value": str(data.b)},
+        "ratio": {"form": None, "value": frac(difference.value / (data.b * lt.rank))},
     }
     label = str(lt) if lt.is_exceptional else f"{lt.family}_n (n={lt.rank})"
     return {"label": label, "cells": cells}
@@ -133,7 +128,6 @@ def index_report(algebra: str, partition, via: str = "all") -> dict:
             )
         routes["simplest-rep"] = sl2.index_via_simplest_rep(lt, p)
     else:
-        _require(dim is not None, f"{lt} has no defining module")
         if via == "simplest":
             raise ValueError("--via simplest applies to exceptional algebras only")
         if sum(p) != dim:
@@ -368,7 +362,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RouteDisagreement, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -121,14 +121,12 @@ def orbit_index(kind: str, p: Partition) -> Fraction:
 
 
 def monotonicity_holds(kind: str, n: int) -> bool:
-    """Strict index decrease along every cover away from the zero orbit."""
+    """Strict index decrease along every cover (orbit_index, so the zero
+    orbit counts as 0)."""
     poset = build_poset(kind, n)
-    for upper, lower in poset.covers:
-        if lower[0] < 2:
-            continue
-        if not classical_index(kind, lower) < classical_index(kind, upper):
-            return False
-    return True
+    return all(
+        orbit_index(kind, lower) < orbit_index(kind, upper) for upper, lower in poset.covers
+    )
 
 
 def comparable_pairs_strict(kind: str, n: int) -> bool:
@@ -136,8 +134,8 @@ def comparable_pairs_strict(kind: str, n: int) -> bool:
 
     A node can only dominate nodes after it in reverse-lexicographic order.
     """
-    nodes = [p for p in enumerate_orbits(kind, n) if p[0] >= 2]
-    index = [classical_index(kind, p) for p in nodes]
+    nodes = enumerate_orbits(kind, n)
+    index = [orbit_index(kind, p) for p in nodes]
     return all(
         index[k] < index[j]
         for j, p in enumerate(nodes)

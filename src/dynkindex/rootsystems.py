@@ -304,8 +304,9 @@ def _bilinear(matrix, x, y, scale: int) -> Fraction:
 class RootSystem:
     """Immutable container for the root data of one simple type.
 
-    All attributes are fixed at construction; instances can be shared freely
-    across threads.
+    All attributes are fixed at construction: once ``__init__`` returns,
+    assigning or deleting an instance attribute raises ``AttributeError``.
+    Instances can be shared freely across threads.
     """
 
     def __init__(self, lie_type: LieType):
@@ -391,6 +392,15 @@ class RootSystem:
         self._root_steps = steps
         # Weyl denominator prod (rho, gamma) * scale^N over the positive roots.
         self._rho_product = prod(self._scaled_root_pairings(int_norms))
+        self._frozen = True
+
+    def __setattr__(self, name: str, value) -> None:
+        if "_frozen" in self.__dict__:
+            raise AttributeError(f"{self!r} is immutable; cannot set {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{self!r} is immutable; cannot delete {name!r}")
 
     # -- bilinear form -----------------------------------------------------
 

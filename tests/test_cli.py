@@ -1,6 +1,8 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynkindex import sl2, verify
 from dynkindex.cli import build_parser, main, parse_algebra, read_config_file, table_payload
@@ -175,6 +179,73 @@ def test_table_route_disagreement_exits_1(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err.startswith("error: route disagreement for A5 principal-index:")
     assert "broken=36" in err and "Traceback" not in err
+
+
+# argv vocabulary for the exit-code contract: each subcommand's flags with a
+# few good and bad values each (None leaves the flag out), then, one time in
+# four, a stray token.  Every number is at most 6, so no draw starts a large
+# build or poset.  verify always names the cheap routes check (a drawn --only
+# adds to it): without --only it sweeps the integrality of E8 irreducibles,
+# about 0.4 s a draw.
+_NUMBERS = ("-1", "0", "1", "2", "4", "5", "6", "x", None)
+_LISTS = ("4", "3,1", "2,2", "2,1,1", "3,2,1", "1,1,1,1", "4,3", "1,0,0", "1,0,0,0,0,0", "", None)
+_LABELS = ("A3", "sl4", "sp6", "so7", "E6", "G2", "Z9", None)
+_REPORT_FORMATS = ("json", "csv", "md", "dot", None)
+_COMMANDS = {
+    ("table",): {"--format": _REPORT_FORMATS, "--rank": _NUMBERS},
+    ("index",): {
+        "--algebra": _LABELS,
+        "--partition": _LISTS,
+        "--via": ("partition", "adjoint", "simplest", "all", "none", None),
+        "--format": _REPORT_FORMATS,
+    },
+    ("rep-index",): {"--algebra": _LABELS, "--weight": _LISTS, "--format": _REPORT_FORMATS},
+    ("verify", "--only", "routes"): {
+        "--only": ("structure", "mckay", "unfolding", "A3", None),
+        "--max-classical-rank": _NUMBERS,
+        "--max-partition-size": _NUMBERS,
+        "--max-identity-n": _NUMBERS,
+        "--config": ("/nonexistent/dynkindex.cfg", None, None, None),
+        "--format": ("text", "json", "md", None),
+    },
+    ("poset",): {
+        "--kind": ("sl", "sp", "so", "gl", None),
+        "--n": _NUMBERS,
+        "--format": ("dot", "json", "csv", None),
+    },
+    ("bogus",): {},
+}
+_STRAY = ("--help", "--rank", "--n", "--algebra", "E6", "3,2,1", "--format")
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = list(command)
+    for flag, values in _COMMANDS[command].items():
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            argv += [flag, value]
+    if not draw(st.sampled_from(range(4))):
+        argv.append(draw(st.sampled_from(_STRAY)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_exit_code_contract_holds_for_drawn_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+            from_argparse = False
+        except SystemExit as exc:
+            code, from_argparse = exc.code, True
+    # On unmodified code no route or invariant fails, so 1 never occurs.
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2 and not from_argparse:
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())
 
 
 def test_verify_subset(capsys):

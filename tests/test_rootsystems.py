@@ -296,3 +296,20 @@ def test_d3_presents_a3():
 
 def test_build_caches_and_accepts_both_spellings():
     assert build("E6") is build(LieType("E", 6))
+
+
+def test_cached_root_system_rejects_assignment():
+    rs = build("A3")
+    with pytest.raises(AttributeError):
+        rs.positive_roots = ()
+    with pytest.raises(AttributeError):
+        rs.extra = 1
+    assert len(build("A3").positive_roots) == 6
+    assert not hasattr(rs, "extra")
+
+
+def test_cached_root_system_rejects_deletion():
+    rs = build("A3")
+    with pytest.raises(AttributeError):
+        del rs.positive_roots
+    assert len(build("A3").positive_roots) == 6

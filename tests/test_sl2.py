@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dynkindex import sl2
 from dynkindex.rootsystems import LieType, build
 from dynkindex.sl2 import (
     IndexReport,
@@ -83,6 +84,29 @@ def test_index_report_routes_are_read_only():
     assert sorted(report.routes.items()) == [("a", Fraction(3))]
     assert report == IndexReport(Fraction(3), {"a": Fraction(3)})
     assert principal_index(build("A3")).routes["kostant"] == 10
+
+
+def test_index_report_disagreement_lists_sorted_routes_as_fractions():
+    report = IndexReport(Fraction(1, 2), {"z": Fraction(1, 2), "a": Fraction(3, 4), "m": 2})
+    assert report.disagreement("B2 principal-index") == (
+        "route disagreement for B2 principal-index: a=3/4, m=2, z=1/2"
+    )
+
+
+def test_difference_sweep_names_every_route_of_a_disagreement(monkeypatch):
+    real = sl2.principal_minus_subregular
+
+    def with_broken_route(rs):
+        report = real(rs)
+        return IndexReport(report.value, {**report.routes, "broken": report.value + 1})
+
+    monkeypatch.setattr(sl2, "principal_minus_subregular", with_broken_route)
+    with pytest.raises(ArithmeticError) as exc:
+        difference_observations(3)
+    assert str(exc.value) == (
+        "route disagreement for A2 difference: broken=4, closed-form=3, "
+        "group-order=3, module-difference=3, raw-binomial=3"
+    )
 
 
 def test_broken_degree_pair_raises_under_python_O():

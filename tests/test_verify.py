@@ -37,3 +37,19 @@ def test_monotonicity_reports_both_failures_per_poset(monkeypatch):
     assert result.detail == "28 posets checked"
     assert result.failures == expected
     assert len(expected) == 51
+
+
+def test_principal_names_every_route_of_a_disagreement(monkeypatch):
+    real = sl2.principal_index
+
+    def with_broken_route(rs):
+        report = real(rs)
+        return sl2.IndexReport(report.value, {**report.routes, "broken": report.value + 1})
+
+    monkeypatch.setattr(sl2, "principal_index", with_broken_route)
+    result = verify.check_principal(verify.VerifyConfig(max_classical_rank=2))
+    assert result.passed is False
+    assert result.failures[0] == (
+        "route disagreement for A1 principal-index: broken=2, coroot-norm=1, "
+        "dual-coxeter-uniform=1, kostant=1, partition-formula=1"
+    )
