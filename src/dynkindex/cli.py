@@ -20,7 +20,7 @@ from functools import cache, partial
 
 from . import orbits, reps, sl2
 from .rootsystems import EXCEPTIONAL, LieType, build, classical_type, defining_module
-from .verify import CHECKS, VerifyConfig, run_checks
+from .verify import BOUNDS, CHECKS, VerifyConfig, run_checks
 
 _MATRIX_RE = re.compile(r"^(sl|sp|so)[_ ]?([0-9]+)$", re.IGNORECASE)
 
@@ -210,12 +210,9 @@ def _emit(payload: dict, fmt: str, out, rows=_field_rows, text=None) -> None:
 
 # -- config files ----------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "max-classical-rank": "max_classical_rank",
-    "max-partition-size": "max_partition_size",
-    "max-identity-n": "max_identity_n",
-    "only": "families",
-}
+# Config key -> VerifyConfig field.  A bound's key, and its flag after "--", is
+# the field name with dashes.
+_CONFIG_KEYS = {name.replace("_", "-"): name for name in BOUNDS} | {"only": "families"}
 
 
 def read_config_file(path: str) -> dict:
@@ -340,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CHECK",
         help=f"restrict to named checks ({', '.join(CHECKS)})",
     )
-    p_verify.add_argument("--max-classical-rank", type=int, default=None)
-    p_verify.add_argument("--max-partition-size", type=int, default=None)
-    p_verify.add_argument("--max-identity-n", type=int, default=None)
+    for key, name in _CONFIG_KEYS.items():
+        if name in BOUNDS:
+            p_verify.add_argument(f"--{key}", type=int)
     p_verify.add_argument("--config", help="key-value config file (see README)")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=_cmd_verify)

@@ -18,6 +18,7 @@ from .rootsystems import (
     LieType,
     RootSystem,
     _int_bilinear,
+    _integer,
     _require,
     build,
     classical_type,
@@ -32,7 +33,7 @@ class RepIndexReport:
 
 
 def _check_weight(rs: RootSystem, weight) -> tuple[int, ...]:
-    weight = tuple(int(w) for w in weight)
+    weight = tuple(_integer(w, "weight coordinate") for w in weight)
     if len(weight) != rs.rank:
         raise ValueError(
             f"weight has {len(weight)} coordinates, {rs.lie_type} has rank {rs.rank}"

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import lcm, prod
-from operator import add, gt
+from operator import add, gt, index
 
 FAMILIES = "ABCDEFG"
 EXCEPTIONAL = ("E6", "E7", "E8", "F4", "G2")
@@ -171,6 +171,13 @@ def _require(condition: bool, message: str) -> None:
         raise ArithmeticError(message)
 
 
+def _integer(value, what: str) -> int:
+    try:
+        return index(value)  # refuses floats, Fractions and strings
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
 def _simple_norms(cartan: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
     # Half squared lengths d_j of the simple roots, scaled so max(d) = 1.
     # Symmetry of the form forces c[i][j] d_j = c[j][i] d_i along each bond.
@@ -310,6 +317,12 @@ class RootSystem:
     """
 
     def __init__(self, lie_type: LieType):
+        try:
+            self._construct(lie_type)
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"{lie_type}: {exc}") from None
+
+    def _construct(self, lie_type: LieType) -> None:
         self.lie_type = lie_type
         self.rank = lie_type.rank
         self.cartan = _cartan_matrix(lie_type)

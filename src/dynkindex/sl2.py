@@ -28,7 +28,7 @@ from math import comb
 from types import MappingProxyType
 
 from . import reps
-from .rootsystems import LieType, RootSystem, _require, all_types, build, defining_module
+from .rootsystems import LieType, RootSystem, _integer, _require, all_types, build, defining_module
 
 KINDS = ("sl", "sp", "so")
 
@@ -43,7 +43,7 @@ def binom3(m: int) -> int:
 
 
 def normalize_partition(parts) -> Partition:
-    p = tuple(sorted((int(x) for x in parts), reverse=True))
+    p = tuple(sorted((_integer(x, "partition part") for x in parts), reverse=True))
     if not p:
         raise ValueError("empty partition")
     if p[-1] < 1:
@@ -335,23 +335,6 @@ def mckay_data(lt: LieType) -> McKayData:
     return McKayData(a, b, h, a * b // 2)
 
 
-def invariant_series_coefficients(data: McKayData, max_degree: int) -> list[int]:
-    """Power-series coefficients of (1 + T^h) / ((1-T^a)(1-T^b)).
-
-    Computed as lattice-point counts, so they are nonnegative integers by
-    construction; exposed for data validation of the degree table.
-    """
-    coeffs = [0] * (max_degree + 1)
-    for shift in (0, data.h):
-        if shift > max_degree:
-            continue
-        for i in range((max_degree - shift) // data.a + 1):
-            base = shift + i * data.a
-            for j in range((max_degree - base) // data.b + 1):
-                coeffs[base + j * data.b] += 1
-    return coeffs
-
-
 def subregular_module(rs: RootSystem) -> Sl2Module:
     """Restriction of the adjoint module to a subregular sl2.
 
@@ -382,9 +365,7 @@ def principal_minus_subregular(rs: RootSystem) -> IndexReport:
     order, the raw binomial difference of the two adjoint branchings, and the
     literal difference of the two index computations.
     """
-    if rs.rank < 2:
-        raise ValueError("rank 1 has no subregular orbit")
-    data = mckay_data(rs.lie_type)
+    data = mckay_data(rs.lie_type)  # refuses rank 1, which has no subregular orbit
     h = rs.coxeter_number()
     hstar = rs.dual_coxeter_number()
     a, b = data.a, data.b
@@ -424,12 +405,6 @@ class DifferenceObservation:
     d: Fraction
     h: int
     b: int
-    le_double_h: bool
-    eq_double_h: bool
-    le_triple_b: bool
-    eq_triple_b: bool
-    ratio: Fraction
-    d_over_rank: Fraction | None  # populated when h is even
 
 
 def _observe(lt: LieType) -> DifferenceObservation:
@@ -437,23 +412,8 @@ def _observe(lt: LieType) -> DifferenceObservation:
     report = principal_minus_subregular(rs)
     if not report.consistent:
         raise ArithmeticError(report.disagreement(f"{lt} difference"))
-    d = report.value
-    h = rs.coxeter_number()
-    b = mckay_data(lt).b
-    n = lt.rank
-    return DifferenceObservation(
-        label=str(lt),
-        rank=n,
-        d=d,
-        h=h,
-        b=b,
-        le_double_h=d <= 2 * h * n,
-        eq_double_h=d == 2 * h * n,
-        le_triple_b=d <= 3 * b * n,
-        eq_triple_b=d == 3 * b * n,
-        ratio=d / (b * n),
-        d_over_rank=d / n if h % 2 == 0 else None,
-    )
+    h, b = rs.coxeter_number(), mckay_data(lt).b
+    return DifferenceObservation(str(lt), lt.rank, report.value, h, b)
 
 
 def sweep_types(max_classical_rank: int):
@@ -472,18 +432,16 @@ def difference_observations_ok(observations) -> tuple[bool, list[str]]:
     """Check every empirical claim about D; returns (ok, failure messages)."""
     failures = []
     for obs in observations:
-        family = obs.label[0]
-        expect_eq = obs.label in _EQUALITY_TYPES
-        if not obs.le_double_h:
-            failures.append(f"{obs.label}: D > 2h*rank")
-        if obs.eq_double_h != expect_eq:
-            failures.append(f"{obs.label}: equality with 2h*rank mismatch")
-        if not obs.le_triple_b:
-            failures.append(f"{obs.label}: D > 3b*rank")
-        if obs.eq_triple_b != expect_eq:
-            failures.append(f"{obs.label}: equality with 3b*rank mismatch")
-        if family in _RATIO_CONSTANT and obs.ratio != _RATIO_CONSTANT[family]:
-            failures.append(f"{obs.label}: ratio {obs.ratio} off series constant")
-        if obs.d_over_rank is not None and obs.d_over_rank.denominator != 1:
-            failures.append(f"{obs.label}: D/rank not integral though h is even")
+        label, d, n = obs.label, obs.d, obs.rank
+        expect_eq = label in _EQUALITY_TYPES
+        for bound, factor in (("2h", 2 * obs.h), ("3b", 3 * obs.b)):
+            if d > factor * n:
+                failures.append(f"{label}: D > {bound}*rank")
+            if (d == factor * n) != expect_eq:
+                failures.append(f"{label}: equality with {bound}*rank mismatch")
+        ratio = d / (obs.b * n)
+        if label[0] in _RATIO_CONSTANT and ratio != _RATIO_CONSTANT[label[0]]:
+            failures.append(f"{label}: ratio {ratio} off series constant")
+        if obs.h % 2 == 0 and (d / n).denominator != 1:
+            failures.append(f"{label}: D/rank not integral though h is even")
     return not failures, failures

@@ -169,7 +169,7 @@ def test_criterion_8_difference_bounds_to_rank_50():
     observations = difference_observations(50)
     ok, failures = difference_observations_ok(observations)
     assert ok, failures
-    equalities = {o.label for o in observations if o.eq_double_h or o.eq_triple_b}
+    equalities = {o.label for o in observations if o.d in (2 * o.h * o.rank, 3 * o.b * o.rank)}
     assert equalities == {"G2", "F4", "E8"}
     _report(8, f"difference bounds and ratios hold for {len(observations)} types")
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dynkindex import rootsystems
 from dynkindex.reps import dynkin_index, weyl_dimension
 from dynkindex.rootsystems import (
     LieType,
@@ -152,6 +153,19 @@ def test_integer_inverse_matches_bourbaki_at_rank_124(family):
 def test_integer_inverse_rejects_non_dynkin_matrices(cartan):
     with pytest.raises(ArithmeticError):
         _cartan_adjugate(cartan)
+
+
+def test_construction_errors_name_the_type(monkeypatch):
+    # Fresh objects, so the cached root systems stay intact.
+    norms, adjugate = rootsystems._simple_norms, rootsystems._cartan_adjugate
+    monkeypatch.setattr(rootsystems, "_simple_norms", lambda c: tuple(2 * d for d in norms(c)))
+    with pytest.raises(ArithmeticError, match=r"^B3: normalisation failed$"):
+        RootSystem(LieType("B", 3))
+    monkeypatch.undo()
+    # A message of _cartan_adjugate: affine A1 is not positive definite.
+    monkeypatch.setattr(rootsystems, "_cartan_adjugate", lambda c: adjugate(((2, -2), (-2, 2))))
+    with pytest.raises(ArithmeticError, match=r"^G2: Cartan matrix is not positive definite$"):
+        RootSystem(LieType("G", 2))
 
 
 def weyl_product_oracle(rs, weight) -> int:

@@ -1,5 +1,6 @@
 """Dynkin indices of irreducible representations."""
 
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -92,6 +93,15 @@ def test_bad_weights_rejected():
         weyl_dimension(build("A2"), (1, -1))
     with pytest.raises(ValueError):
         weyl_dimension(build("A2"), (1, 1, 1))
+
+
+@pytest.mark.parametrize("bad", [1.9, Fraction(1, 2), "1"], ids=repr)
+def test_weight_coordinates_must_be_integers(bad):
+    message = re.escape(f"weight coordinate {bad!r} is not an integer")
+    with pytest.raises(ValueError, match=message):
+        dynkin_index(build("A2"), (bad, 0))
+    with pytest.raises(ValueError, match=message):
+        weyl_dimension(build("A2"), (0, bad))
 
 
 def test_adjoint_index_is_twice_dual_coxeter():

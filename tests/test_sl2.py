@@ -1,9 +1,11 @@
 """Partition formulas, branchings, principal/subregular data."""
 
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -27,7 +29,6 @@ from dynkindex.sl2 import (
     difference_observations_ok,
     index_via_adjoint,
     index_via_simplest_rep,
-    invariant_series_coefficients,
     mckay_data,
     module_dimension,
     module_index,
@@ -147,6 +148,15 @@ def test_partition_normalisation():
         normalize_partition([])
     with pytest.raises(ValueError):
         normalize_partition([2, 0])
+
+
+@pytest.mark.parametrize("bad", [2.7, Fraction(1, 2), "1"], ids=repr)
+def test_partition_parts_must_be_integers(bad):
+    message = re.escape(f"partition part {bad!r} is not an integer")
+    with pytest.raises(ValueError, match=message):
+        normalize_partition([bad, 1])
+    with pytest.raises(ValueError, match=message):
+        classical_index("sl", (bad, 1))
 
 
 def test_admissibility():
@@ -362,16 +372,6 @@ def test_mckay_data_consistent_across_presentations():
     assert mckay_data(LieType.parse("D3")) == mckay_data(LieType.parse("A3"))
 
 
-def test_invariant_series_coefficients():
-    for label in ("A3", "B4", "C3", "D4", "E6", "E7", "E8", "F4", "G2"):
-        data = mckay_data(LieType.parse(label))
-        coeffs = invariant_series_coefficients(data, 2 * data.h)
-        assert coeffs[0] == 1
-        assert all(c >= 0 for c in coeffs)
-        # degrees a, b and h are visible in the series
-        assert coeffs[data.a] >= 1 and coeffs[data.b] >= 1 and coeffs[data.h] >= 1
-
-
 def test_subregular_module():
     assert subregular_module(build("D4")) == (6, 6, 4, 2, 2, 2)
     assert subregular_module(build("A2")) == (2, 1, 1, 0)
@@ -392,16 +392,35 @@ def test_difference_values():
         assert report.consistent and report.value == 4 * n * (n - 1)
     for label in ("A4", "B6", "D7", "E6", "E8", "F4"):
         assert principal_minus_subregular(build(label)).consistent
+    with pytest.raises(ValueError, match="^A1: rank 1 has no subregular orbit"):
+        principal_minus_subregular(build("A1"))
 
 
 def test_difference_observation_rows():
     rows = {obs.label: obs for obs in difference_observations(7)}
     a5 = rows["A5"]
-    assert a5.d == 15 and a5.ratio == Fraction(1, 2) and 2 * a5.h * a5.rank == 60
+    assert a5.d == 15 and a5.d / (a5.b * a5.rank) == Fraction(1, 2) and 2 * a5.h * a5.rank == 60
     f4 = rows["F4"]
-    assert f4.d == 96 and f4.eq_double_h and f4.eq_triple_b
+    assert f4.d == 96 and f4.d == 2 * f4.h * f4.rank == 3 * f4.b * f4.rank
     b7 = rows["B7"]
-    assert b7.d == 98 and b7.d_over_rank == 14
+    assert b7.d == 98 and b7.h % 2 == 0 and b7.d / b7.rank == 14
+
+
+def test_difference_claims_are_read_from_the_observed_numbers():
+    rows = {obs.label: obs for obs in difference_observations(5)}
+    f4, a5 = rows["F4"], rows["A5"]
+    off = replace(f4, d=f4.d - 4)  # below both bounds, so no equality case
+    assert difference_observations_ok([off]) == (False, [
+        "F4: equality with 2h*rank mismatch",
+        "F4: equality with 3b*rank mismatch",
+    ])
+    assert difference_observations_ok([replace(a5, d=a5.d + 1)]) == (False, [
+        "A5: ratio 8/15 off series constant",
+        "A5: D/rank not integral though h is even",
+    ])
+    assert difference_observations_ok([replace(a5, d=Fraction(95))]) == (False, [
+        "A5: D > 2h*rank", "A5: D > 3b*rank", "A5: ratio 19/6 off series constant",
+    ])
 
 
 def test_difference_bounds_hold_to_rank_20():

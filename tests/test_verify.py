@@ -53,3 +53,13 @@ def test_principal_names_every_route_of_a_disagreement(monkeypatch):
         "route disagreement for A1 principal-index: broken=2, coroot-norm=1, "
         "dual-coxeter-uniform=1, kostant=1, partition-formula=1"
     )
+
+
+def test_routes_reports_a_disagreement_in_the_one_form(monkeypatch):
+    real = sl2.index_via_adjoint
+    monkeypatch.setattr(sl2, "index_via_adjoint", lambda kind, p: real(kind, p) + 1)
+    result = verify.check_routes(verify.VerifyConfig(max_partition_size=2))
+    assert result.passed is False
+    assert result.failures[0] == (
+        "route disagreement for sl (2,): adjoint-branching=2, partition-formula=1"
+    )
