@@ -51,10 +51,6 @@ def parse_parts(text: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def frac(value) -> str:
-    return str(Fraction(value))
-
-
 # -- table ---------------------------------------------------------------------
 
 _QUANTITIES = ("principal-index", "difference", "a", "b", "ratio")
@@ -78,11 +74,11 @@ def _column(lt: LieType) -> dict:
     data = sl2.mckay_data(lt)
     forms = _FORMS.get(lt.family, {})
     cells = {
-        "principal-index": {"form": forms.get("principal-index"), "value": frac(principal.value)},
-        "difference": {"form": forms.get("difference"), "value": frac(difference.value)},
+        "principal-index": {"form": forms.get("principal-index"), "value": str(principal.value)},
+        "difference": {"form": forms.get("difference"), "value": str(difference.value)},
         "a": {"form": None, "value": str(data.a)},
         "b": {"form": forms.get("b"), "value": str(data.b)},
-        "ratio": {"form": None, "value": frac(difference.value / (data.b * lt.rank))},
+        "ratio": {"form": None, "value": str(difference.value / (data.b * lt.rank))},
     }
     label = str(lt) if lt.is_exceptional else f"{lt.family}_n (n={lt.rank})"
     return {"label": label, "cells": cells}
@@ -136,16 +132,16 @@ def index_report(algebra: str, partition, via: str = "all") -> dict:
                 f"{algebra} (dimension {dim})"
             )
         if via in ("partition", "all"):
-            routes["partition-formula"] = sl2.classical_index(kind, p)
+            routes[sl2.PARTITION_ROUTE] = sl2.classical_index(kind, p)
         if via in ("adjoint", "all"):
-            routes["adjoint-branching"] = sl2.index_via_adjoint(kind, p)
+            routes[sl2.ADJOINT_ROUTE] = sl2.index_via_adjoint(kind, p)
     report = sl2.IndexReport(next(iter(routes.values())), routes)
     return {
         "algebra": algebra,
         "type": str(lt),
         "partition": list(p),
-        "value": frac(report.value),
-        "routes": {name: frac(v) for name, v in sorted(report.routes.items())},
+        "value": str(report.value),
+        "routes": {name: str(v) for name, v in sorted(report.routes.items())},
         "consistent": report.consistent,
     }
 
@@ -159,7 +155,7 @@ def rep_index_report(algebra: str, weight) -> dict:
         "type": str(lt),
         "weight": list(weight),
         "dimension": report.dimension,
-        "index": frac(report.index),
+        "index": str(report.index),
         "integer": report.is_integer,
     }
 
@@ -191,12 +187,11 @@ def _verify_text(payload: dict) -> str:
 
 
 def _emit(payload: dict, fmt: str, out, rows=_field_rows, text=None) -> None:
-    """The one output path of every subcommand: json dumps the payload, csv
-    and md lay out rows(payload) (a header row, then the body), and the
-    text formats (text, dot) write text()."""
+    """The one output path of every subcommand: json encodes the payload in
+    one piece and writes it once, csv and md lay out rows(payload) (a header
+    row, then the body), and the text formats (text, dot) write text()."""
     if fmt == "json":
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        out.write(json.dumps(payload, indent=2) + "\n")
     elif fmt == "csv":
         csv.writer(out, lineterminator="\n").writerows(rows(payload))
     elif fmt == "md":

@@ -59,7 +59,7 @@ def _weyl_dimension(rs: RootSystem, weight: tuple[int, ...]) -> int:
     # weyl_dimension on a weight that _check_weight has already returned.
     shifted = [(wi + 1) * d for wi, d in zip(weight, rs._int_norms)]
     dim, rem = divmod(prod(rs._scaled_root_pairings(shifted)), rs._rho_product)
-    _require(rem == 0, f"Weyl dimension of {weight} in {rs.lie_type} is not an integer")
+    _require(rem == 0, "Weyl dimension of {} in {} is not an integer", weight, rs.lie_type)
     return dim
 
 
@@ -154,7 +154,7 @@ def simplest_embedding_index(lt: LieType) -> int:
     ind_target = dynkin_index(target, vector).index
     value = embedding_index(ind_top, ind_target)
     expected = _SIMPLEST[str(lt)][3]
-    _require(value == expected, f"{lt} embedding index {value}, expected {expected}")
+    _require(value == expected, "{} embedding index {}, expected {}", lt, value, expected)
     return int(value)
 
 

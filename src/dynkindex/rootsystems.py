@@ -165,10 +165,12 @@ def _cartan_matrix(lt: LieType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in c)
 
 
-def _require(condition: bool, message: str) -> None:
-    # An invariant check that, unlike assert, also runs under python -O.
+def _require(condition: bool, message: str, *args) -> None:
+    # An invariant check that, unlike assert, also runs under python -O.  With
+    # args, the message is a str.format template, filled only on failure, so a
+    # check that holds costs no formatting.
     if not condition:
-        raise ArithmeticError(message)
+        raise ArithmeticError(message.format(*args) if args else message)
 
 
 def _integer(value, what: str) -> int:
@@ -373,11 +375,23 @@ class RootSystem:
         if shorts:
             self.theta_short = max(shorts, key=lambda r: r.height)
             ratio = 2 / self.theta_short.norm2
-            _require(ratio in (2, 3), f"root length ratio {ratio} is not 2 or 3")
+            _require(ratio in (2, 3), "root length ratio {} is not 2 or 3", ratio)
             self.r = int(ratio)
         else:
             self.theta_short = self.theta
             self.r = 1
+
+        # h* = 1 + (rho, theta-check) = 1 + (2 rho, theta) / 2, since
+        # (theta, theta) = 2: one integer sum over the scaled Gram matrix.
+        twice_rho_theta = _int_bilinear(int_gram, total, self.theta.coords)
+        _require(twice_rho_theta % (2 * scale) == 0, "dual Coxeter number is not an integer")
+        self._dual_coxeter = 1 + twice_rho_theta // (2 * scale)
+        # A root's height is its coordinate sum, so the height totals are the
+        # sums of the coordinate totals.
+        if self.r == 1:
+            self._height_sums = (0, sum(total))
+        else:
+            self._height_sums = (sum(long_total), sum(short_total))
 
         self.rho = tuple(Fraction(t, 2) for t in total)
         # Coroot half-sum: each root contributes its coordinates divided by
@@ -465,10 +479,8 @@ class RootSystem:
         return self.theta.height + 1
 
     def dual_coxeter_number(self) -> int:
-        # 1 + (rho, theta-check); theta-check = theta since (theta,theta) = 2.
-        value = 1 + self.form(self.rho, self.theta.coords)
-        _require(value.denominator == 1, f"dual Coxeter number {value} is not an integer")
-        return int(value)
+        """1 + (rho, theta-check), computed once at construction."""
+        return self._dual_coxeter
 
     def dual_coxeter_number_of_dual(self) -> int:
         """Dual Coxeter number of the Langlands dual root system."""
@@ -483,13 +495,10 @@ class RootSystem:
 
         In the simply-laced case every root is reported under the short sum,
         matching the convention that makes the r-weighted combination equal
-        twice the squared length of the coroot half-sum.
+        twice the squared length of the coroot half-sum.  Computed once at
+        construction.
         """
-        long_sum = sum(r.height for r in self.positive_roots if r.is_long)
-        short_sum = sum(r.height for r in self.positive_roots if not r.is_long)
-        if self.r == 1:
-            return 0, long_sum + short_sum
-        return long_sum, short_sum
+        return self._height_sums
 
     def rho_check_norm2_doubled(self) -> Fraction:
         return 2 * self.form(self.rho_check, self.rho_check)

@@ -182,7 +182,7 @@ def branch_adjoint_multiplicities(kind: str, p: Partition) -> Sl2Multiset:
         expected = n * (n + 1) // 2 if kind == "sp" else n * (n - 1) // 2
     pairs = tuple(sorted(((d, m) for d, m in out.items() if m), reverse=True))
     dimension = sum((d + 1) * m for d, m in pairs)
-    _require(dimension == expected, f"{kind} branching of {p}: wrong dimension")
+    _require(dimension == expected, "{} branching of {}: wrong dimension", kind, p)
     return pairs
 
 
@@ -241,6 +241,10 @@ def index_via_simplest_rep(lt: LieType, p: Partition) -> Fraction:
 
 # -- multi-route reports -------------------------------------------------------
 
+# The two routes of a classical orbit's index, by the names every report uses.
+PARTITION_ROUTE = "partition-formula"
+ADJOINT_ROUTE = "adjoint-branching"
+
 
 @dataclass(frozen=True)
 class IndexReport:
@@ -278,7 +282,7 @@ def principal_index(rs: RootSystem) -> IndexReport:
         ),
         "coroot-norm": Fraction(long_sum + rs.r * short_sum),
         "kostant": Fraction(
-            sum(binom3(2 * m + 2) for m in rs.exponents()),
+            sum(comb(2 * m + 2, 3) for m in rs.exponents()),
             2 * rs.dual_coxeter_number(),
         ),
     }
@@ -286,7 +290,7 @@ def principal_index(rs: RootSystem) -> IndexReport:
     if module is not None:
         kind, dim = module
         p = (dim,) if partition_is_admissible(kind, (dim,)) else (dim - 1, 1)
-        routes["partition-formula"] = classical_index(kind, p)
+        routes[PARTITION_ROUTE] = classical_index(kind, p)
     return IndexReport(routes["dual-coxeter-uniform"], routes)
 
 
@@ -330,8 +334,8 @@ def mckay_data(lt: LieType) -> McKayData:
     rs = build(lt)
     h = rs.coxeter_number()
     a, b = sorted(ab_closed_form(lt.family, lt.rank))
-    _require(a + b == h + 2, f"{lt}: degrees {a} + {b} differ from h + 2 = {h + 2}")
-    _require((a * b) % 2 == 0, f"{lt}: degree product {a * b} is odd")
+    _require(a + b == h + 2, "{}: degrees {} + {} differ from h + 2 = {}", lt, a, b, h + 2)
+    _require((a * b) % 2 == 0, "{}: degree product {} is odd", lt, a * b)
     return McKayData(a, b, h, a * b // 2)
 
 
@@ -346,7 +350,7 @@ def subregular_module(rs: RootSystem) -> Sl2Module:
     exps = rs.exponents()
     h = rs.coxeter_number()
     exps_ok = exps[0] == 1 and exps[0] < exps[1] and exps[-2] < exps[-1] == h - 1
-    _require(exps_ok, f"{rs.lie_type}: exponents {exps} do not fit h = {h}")
+    _require(exps_ok, "{}: exponents {} do not fit h = {}", rs.lie_type, exps, h)
     data = mckay_data(rs.lie_type)
     components = tuple(
         sorted(
@@ -354,7 +358,7 @@ def subregular_module(rs: RootSystem) -> Sl2Module:
             reverse=True,
         )
     )
-    _require(module_dimension(components) == rs.dimension, f"{rs.lie_type}: wrong dimension")
+    _require(module_dimension(components) == rs.dimension, "{}: wrong dimension", rs.lie_type)
     return components
 
 
@@ -363,22 +367,25 @@ def principal_minus_subregular(rs: RootSystem) -> IndexReport:
 
     Closed form (h/h*)(C(h,2) + (a-2)(b-2)/4), the variant through the group
     order, the raw binomial difference of the two adjoint branchings, and the
-    literal difference of the two index computations.
+    literal difference of the two index computations.  Each route is one
+    Fraction of an integer numerator and an integer denominator.
     """
     data = mckay_data(rs.lie_type)  # refuses rank 1, which has no subregular orbit
     h = rs.coxeter_number()
     hstar = rs.dual_coxeter_number()
     a, b = data.a, data.b
+    principal = principal_index(rs).value
     routes = {
-        "closed-form": Fraction(h, hstar)
-        * (comb(h, 2) + Fraction((a - 2) * (b - 2), 4)),
-        "group-order": Fraction(h, hstar)
-        * Fraction(h * (h - 2) + data.group_order, 2),
+        "closed-form": Fraction(h * (4 * comb(h, 2) + (a - 2) * (b - 2)), 4 * hstar),
+        "group-order": Fraction(h * (h * (h - 2) + data.group_order), 2 * hstar),
         "raw-binomial": Fraction(
             binom3(2 * h) - binom3(h) - binom3(a) - binom3(b), 2 * hstar
         ),
-        "module-difference": principal_index(rs).value
-        - Fraction(module_index(subregular_module(rs)), 2 * hstar),
+        "module-difference": Fraction(
+            2 * hstar * principal.numerator
+            - module_index(subregular_module(rs)) * principal.denominator,
+            2 * hstar * principal.denominator,
+        ),
     }
     return IndexReport(routes["closed-form"], routes)
 

@@ -141,9 +141,9 @@ def check_routes(config: VerifyConfig) -> Iterator[list[str]]:
         for p in orbits.enumerate_orbits(kind, n):
             if p[0] < 2:  # the zero orbit
                 continue
-            routes = {"partition-formula": sl2.classical_index(kind, p)}
-            routes["adjoint-branching"] = sl2.index_via_adjoint(kind, p)
-            report = sl2.IndexReport(routes["partition-formula"], routes)
+            routes = {sl2.PARTITION_ROUTE: sl2.classical_index(kind, p)}
+            routes[sl2.ADJOINT_ROUTE] = sl2.index_via_adjoint(kind, p)
+            report = sl2.IndexReport(routes[sl2.PARTITION_ROUTE], routes)
             yield [] if report.consistent else [report.disagreement(f"{kind} {p}")]
 
 

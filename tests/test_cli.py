@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -179,6 +180,38 @@ def test_table_route_disagreement_exits_1(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err.startswith("error: route disagreement for A5 principal-index:")
     assert "broken=36" in err and "Traceback" not in err
+
+
+def test_table_difference_disagreement_exits_1(capsys, monkeypatch):
+    real = sl2.principal_minus_subregular
+
+    def inconsistent(rs):
+        report = real(rs)
+        routes = {**report.routes, "broken": report.value + 1}
+        return sl2.IndexReport(report.value, routes)
+
+    monkeypatch.setattr(sl2, "principal_minus_subregular", inconsistent)
+    code, out, err = run(capsys, "table")
+    assert code == 1 and out == ""
+    assert err.startswith("error: route disagreement for A5 difference:")
+    assert "broken=16" in err and "Traceback" not in err
+
+
+def test_index_and_verify_name_the_routes_alike(capsys, monkeypatch):
+    real = sl2.index_via_adjoint
+    monkeypatch.setattr(sl2, "index_via_adjoint", lambda kind, p: real(kind, p) + 1)
+    code, out, _ = run(capsys, "index", "--algebra", "sl4", "--partition", "2,2", "--via", "all")
+    assert code == 1
+    index_names = set(json.loads(out)["routes"])
+    code, out, _ = run(
+        capsys, "verify", "--only", "routes", "--max-partition-size", "3", "--format", "json"
+    )
+    assert code == 1
+    counterexamples = json.loads(out)["checks"][0]["counterexamples"]
+    assert counterexamples[0].startswith("route disagreement for sl (2,):")
+    for message in counterexamples:
+        assert set(re.findall(r"([a-z-]+)=", message)) == index_names
+    assert index_names == {sl2.PARTITION_ROUTE, sl2.ADJOINT_ROUTE}
 
 
 # argv vocabulary for the exit-code contract: each subcommand's flags with a

@@ -4,8 +4,10 @@ The library inverts the Cartan matrix in integers on the Dynkin tree,
 evaluates the forms and the Weyl dimension over integer matrices, and finds
 the positive roots by reading string lengths off recorded edges.  The
 oracles here take other routes: Gauss-Jordan over Fractions, the closed-form
-inverses of Bourbaki's Planches, the direct products over the roots, and a
-closure that probes each string length against the set of known roots.
+inverses of Bourbaki's Planches, the direct products over the roots, a
+closure that probes each string length against the set of known roots, and,
+for the dual Coxeter number and the height sums stored at construction, the
+Fraction form and sums root by root.
 """
 
 from fractions import Fraction
@@ -25,12 +27,16 @@ from dynkindex.rootsystems import (
     all_types,
     build,
 )
+from dynkindex.sl2 import principal_index, principal_minus_subregular
 
 TYPES_TO_RANK_12 = [
     LieType(family, rank)
     for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
     for rank in range(low, 13)
 ] + [LieType.parse(label) for label in ("E6", "E7", "E8", "F4", "G2")]
+
+# Every type up to rank 20, and two large ones.
+ORACLE_TYPES = [*all_types(20), LieType("D", 50), LieType("A", 60)]
 
 SAMPLE_TYPES = [
     "A1", "A4", "B3", "B5", "C3", "C5", "D4", "D6", "E6", "E7", "E8", "F4", "G2",
@@ -101,9 +107,7 @@ def probed_root_coords(cartan):
     return ordered, [pairing[c] for c in ordered], tuple(parents), tuple(steps)
 
 
-@pytest.mark.parametrize(
-    "lt", [*all_types(20), LieType("D", 50), LieType("A", 60)], ids=str
-)
+@pytest.mark.parametrize("lt", ORACLE_TYPES, ids=str)
 def test_root_closure_matches_string_probe(lt):
     cartan = _cartan_matrix(lt)
     assert _positive_root_coords(cartan) == probed_root_coords(cartan)
@@ -166,6 +170,18 @@ def test_construction_errors_name_the_type(monkeypatch):
     monkeypatch.setattr(rootsystems, "_cartan_adjugate", lambda c: adjugate(((2, -2), (-2, 2))))
     with pytest.raises(ArithmeticError, match=r"^G2: Cartan matrix is not positive definite$"):
         RootSystem(LieType("G", 2))
+
+
+def test_require_formats_its_message_only_on_failure():
+    class Unformattable:
+        def __format__(self, spec):
+            raise AssertionError("formatted the message of a check that held")
+
+    rootsystems._require(True, "{} failed", Unformattable())
+    with pytest.raises(ArithmeticError, match=r"^G2: degrees 4 \+ 6 differ$"):
+        rootsystems._require(False, "{}: degrees {} + {} differ", "G2", 4, 6)
+    with pytest.raises(ArithmeticError, match=r"^braces {} kept$"):
+        rootsystems._require(False, "braces {} kept")
 
 
 def weyl_product_oracle(rs, weight) -> int:
@@ -234,6 +250,41 @@ def test_form_matches_fraction_gram():
                     for j, yj in enumerate(y)
                 )
                 assert rs.form(x, y) == expected
+
+
+@pytest.mark.parametrize("lt", ORACLE_TYPES, ids=str)
+def test_dual_coxeter_number_matches_fraction_form(lt):
+    # Oracle: 1 + (rho, theta) through the Fraction path of form.
+    rs = build(lt)
+    oracle = 1 + rs.form(rs.rho, rs.theta.coords)
+    assert oracle.denominator == 1
+    assert type(rs.dual_coxeter_number()) is int
+    assert rs.dual_coxeter_number() == int(oracle)
+
+
+@pytest.mark.parametrize("lt", ORACLE_TYPES, ids=str)
+def test_height_sums_match_per_root_sums(lt):
+    # Oracle: the heights of the positive roots, summed root by root.
+    rs = build(lt)
+    long_sum = sum(r.height for r in rs.positive_roots if r.is_long)
+    short_sum = sum(r.height for r in rs.positive_roots if not r.is_long)
+    expected = (0, long_sum + short_sum) if rs.r == 1 else (long_sum, short_sum)
+    assert rs.height_sums() == expected
+    assert all(type(total) is int for total in rs.height_sums())
+
+
+def test_raised_dual_coxeter_number_is_a_route_disagreement():
+    # A fresh object, so the cached root system stays intact.
+    rs = RootSystem(LieType("B", 4))
+    object.__setattr__(rs, "_dual_coxeter", rs.dual_coxeter_number() + 1)
+    principal = principal_index(rs)
+    assert not principal.consistent
+    assert principal.routes["kostant"] != principal.value
+    assert "kostant=" in principal.disagreement("B4 principal-index")
+    difference = principal_minus_subregular(rs)
+    assert not difference.consistent
+    assert difference.routes["module-difference"] != difference.routes["closed-form"]
+    assert "closed-form=" in difference.disagreement("B4 difference")
 
 
 def test_root_system_is_not_written_after_construction():
