@@ -72,14 +72,10 @@ def _column(lt: LieType) -> dict:
         if not report.consistent:
             raise ArithmeticError(report.disagreement(f"{lt} {quantity}"))
     data = sl2.mckay_data(lt)
+    ratio = difference.value / (data.b * lt.rank)
+    values = (principal.value, difference.value, data.a, data.b, ratio)
     forms = _FORMS.get(lt.family, {})
-    cells = {
-        "principal-index": {"form": forms.get("principal-index"), "value": str(principal.value)},
-        "difference": {"form": forms.get("difference"), "value": str(difference.value)},
-        "a": {"form": None, "value": str(data.a)},
-        "b": {"form": forms.get("b"), "value": str(data.b)},
-        "ratio": {"form": None, "value": str(difference.value / (data.b * lt.rank))},
-    }
+    cells = {q: {"form": forms.get(q), "value": str(v)} for q, v in zip(_QUANTITIES, values)}
     label = str(lt) if lt.is_exceptional else f"{lt.family}_n (n={lt.rank})"
     return {"label": label, "cells": cells}
 
@@ -245,7 +241,12 @@ def _cmd_table(args, out) -> int:
 def _cmd_index(args, out) -> int:
     payload = index_report(args.algebra, parse_parts(args.partition), args.via)
     _emit(payload, args.format, out)
-    return 0 if payload["consistent"] else 1
+    if not payload["consistent"]:  # main writes it to stderr and exits 1
+        routes = {name: Fraction(v) for name, v in payload["routes"].items()}
+        report = sl2.IndexReport(Fraction(payload["value"]), routes)
+        subject = f"{args.algebra} {tuple(payload['partition'])}"
+        raise ArithmeticError(report.disagreement(subject))
+    return 0
 
 
 def _cmd_rep_index(args, out) -> int:

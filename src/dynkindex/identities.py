@@ -34,13 +34,10 @@ def _cross_terms(p: Partition) -> int:
 
 
 def rhs_sl(p: Partition) -> Fraction:
-    """Index through sl(V): full double Clebsch-Gordan sum over 2 dim V."""
+    """Index through sl(V): cross terms twice plus the squares V_i (x) V_i, over 2 dim V."""
     p = normalize_partition(p)
-    total = 0
-    for pi in p:
-        for pj in p:
-            total += sum(binom3(pi + pj - 2 * k) for k in range(min(pi, pj)))
-    return Fraction(total, 2 * sum(p))
+    diag = sum(sum(binom3(2 * pi - 2 * k) for k in range(pi)) for pi in p)
+    return Fraction(2 * _cross_terms(p) + diag, 2 * sum(p))
 
 
 def rhs_sp(p: Partition) -> Fraction:

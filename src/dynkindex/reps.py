@@ -69,11 +69,9 @@ def dynkin_index(rs: RootSystem, weight) -> RepIndexReport:
     dim(V) (lambda, lambda + 2 rho) / dim(g), with the form summed in
     integers over the weight Gram matrix scaled by det C * ``_scale``, so
     the quotient is one Fraction.  The zero weight yields the trivial
-    module, reported with index 0.
+    module: dimension 1, index 0.
     """
     weight = _check_weight(rs, weight)
-    if not any(weight):
-        return RepIndexReport(1, Fraction(0), True)
     dim = _weyl_dimension(rs, weight)
     shifted = [w + 2 for w in weight]
     form = _int_bilinear(rs._weight_gram, weight, shifted)

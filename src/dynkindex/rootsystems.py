@@ -180,22 +180,47 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
+def _dynkin_tree(cartan):
+    # The one walk of the Dynkin diagram, breadth-first from vertex 0: the
+    # neighbours, parents (-1 at vertex 0), visiting order and children.  Then,
+    # eliminating from the leaves, sub[u] is the determinant of the subtree at u
+    # and below[u] the product of sub over u's children: u's pivot is
+    # sub[u] / below[u].  Raises unless the diagram is a tree with positive pivots.
+    n = len(cartan)
+    nbrs = [[v for v in range(n) if v != u and cartan[u][v]] for u in range(n)]
+    _require(sum(map(len, nbrs)) == 2 * (n - 1), "Dynkin diagram is not a tree")
+    parent = [-1] * n
+    order = [0]
+    for u in order:
+        for v in nbrs[u]:
+            if v and parent[v] < 0:
+                parent[v] = u
+                order.append(v)
+    _require(len(order) == n, "Dynkin diagram is not a tree")
+    children = [[v for v in nbrs[u] if v != parent[u]] for u in range(n)]
+    sub = [0] * n
+    below = [1] * n
+    for u in reversed(order):
+        below[u] = prod(sub[c] for c in children[u])
+        sub[u] = cartan[u][u] * below[u] - sum(
+            cartan[u][c] * cartan[c][u] * below[c] * (below[u] // sub[c])
+            for c in children[u]
+        )
+        _require(sub[u] > 0, "Cartan matrix is not positive definite")
+    return nbrs, parent, order, children, sub, below
+
+
 def _simple_norms(cartan: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
     # Half squared lengths d_j of the simple roots, scaled so max(d) = 1.
-    # Symmetry of the form forces c[i][j] d_j = c[j][i] d_i along each bond.
-    n = len(cartan)
-    d = {0: Fraction(1)}
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        for j in range(n):
-            if j != i and cartan[i][j] != 0 and j not in d:
-                d[j] = d[i] * cartan[j][i] / cartan[i][j]
-                queue.append(j)
-    if len(d) != n:
-        raise ValueError("Cartan matrix has a disconnected diagram")
-    top = max(d.values())
-    return tuple(d[j] / top for j in range(n))
+    # Symmetry of the form forces c[i][j] d_j = c[j][i] d_i along each bond,
+    # so each d_v follows from its parent's along the walk of the tree.
+    parent, order = _dynkin_tree(cartan)[1:3]
+    d = [Fraction(1)] * len(cartan)
+    for v in order[1:]:
+        u = parent[v]
+        d[v] = d[u] * cartan[v][u] / cartan[u][v]
+    top = max(d)
+    return tuple(x / top for x in d)
 
 
 def _positive_root_coords(cartan: tuple[tuple[int, ...], ...]):
@@ -235,33 +260,12 @@ def _positive_root_coords(cartan: tuple[tuple[int, ...], ...]):
 
 def _cartan_adjugate(cartan) -> tuple[int, tuple[tuple[int, ...], ...]]:
     # det C and det C * C^-1 in integers.  The Dynkin diagram is a tree, so
-    # eliminating from the leaves towards vertex 0 creates no fill-in.
-    # sub[u] is the determinant of the subtree rooted at u and below[u] the
-    # product of sub over the children of u, so u's pivot is sub[u] / below[u].
-    # Each column j solves C x = e_j: the forward pass keeps every
-    # eliminated right-hand side t[u] as the integer s[u] = t[u] * below[u],
-    # and back-substitution yields det C * x with exact divisions.
+    # eliminating from the leaves towards vertex 0 creates no fill-in.  Each
+    # column j solves C x = e_j: the forward pass keeps every eliminated
+    # right-hand side t[u] as the integer s[u] = t[u] * below[u], and
+    # back-substitution yields det C * x with exact divisions.
     n = len(cartan)
-    nbrs = [[v for v in range(n) if v != u and cartan[u][v]] for u in range(n)]
-    _require(sum(map(len, nbrs)) == 2 * (n - 1), "Dynkin diagram is not a tree")
-    parent = [-1] * n
-    order = [0]
-    for u in order:
-        for v in nbrs[u]:
-            if v and parent[v] < 0:
-                parent[v] = u
-                order.append(v)
-    _require(len(order) == n, "Dynkin diagram is not a tree")
-    children = [[v for v in nbrs[u] if v != parent[u]] for u in range(n)]
-    sub = [0] * n
-    below = [1] * n
-    for u in reversed(order):
-        below[u] = prod(sub[c] for c in children[u])
-        sub[u] = cartan[u][u] * below[u] - sum(
-            cartan[u][c] * cartan[c][u] * below[c] * (below[u] // sub[c])
-            for c in children[u]
-        )
-        _require(sub[u] > 0, "Cartan matrix is not positive definite")
+    nbrs, parent, order, children, sub, below = _dynkin_tree(cartan)
     det = sub[0]
     # s[u] = e_j[u] * below[u] - sum over children c of
     # C[u][c] * (below[u] / sub[c]) * s[c].
@@ -365,10 +369,7 @@ class RootSystem:
         self._exponents = exps
 
         self.theta = max(roots, key=lambda r: r.height)
-        _require(
-            sum(1 for r in roots if r.height == self.theta.height) == 1,
-            "highest root is not unique",
-        )
+        _require(counts[self.theta.height] == 1, "highest root is not unique")
         _require(self.theta.norm2 == 2, "normalisation failed")
 
         shorts = [r for r in roots if not r.is_long]

@@ -67,10 +67,7 @@ def partition_is_admissible(kind: str, p: Partition) -> bool:
         bad_parity = 1
     else:
         bad_parity = 0
-    counts: dict[int, int] = {}
-    for part in p:
-        counts[part] = counts.get(part, 0) + 1
-    return all(n % 2 == 0 for part, n in counts.items() if part % 2 == bad_parity)
+    return all(n % 2 == 0 for part, n in Counter(p).items() if part % 2 == bad_parity)
 
 
 def _require_admissible(kind: str, p: Partition) -> None:

@@ -8,6 +8,8 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -200,8 +202,11 @@ def test_table_difference_disagreement_exits_1(capsys, monkeypatch):
 def test_index_and_verify_name_the_routes_alike(capsys, monkeypatch):
     real = sl2.index_via_adjoint
     monkeypatch.setattr(sl2, "index_via_adjoint", lambda kind, p: real(kind, p) + 1)
-    code, out, _ = run(capsys, "index", "--algebra", "sl4", "--partition", "2,2", "--via", "all")
+    code, out, err = run(capsys, "index", "--algebra", "sl4", "--partition", "2,2", "--via", "all")
     assert code == 1
+    assert err == (
+        "error: route disagreement for sl4 (2, 2): adjoint-branching=3, partition-formula=2\n"
+    )
     index_names = set(json.loads(out)["routes"])
     code, out, _ = run(
         capsys, "verify", "--only", "routes", "--max-partition-size", "3", "--format", "json"
@@ -212,6 +217,77 @@ def test_index_and_verify_name_the_routes_alike(capsys, monkeypatch):
     for message in counterexamples:
         assert set(re.findall(r"([a-z-]+)=", message)) == index_names
     assert index_names == {sl2.PARTITION_ROUTE, sl2.ADJOINT_ROUTE}
+
+
+# A verify small enough for a test: the sweeps of difference-bounds and mckay
+# still reach every exceptional type.
+SMALL_VERIFY = (
+    "verify", "--max-classical-rank", "3", "--max-partition-size", "4", "--max-identity-n", "4"
+)
+
+
+def test_verify_lists_a_difference_disagreement_under_difference_bounds(capsys, monkeypatch):
+    real = sl2.principal_minus_subregular
+
+    def with_broken_route(rs):
+        report = real(rs)
+        return sl2.IndexReport(report.value, {**report.routes, "broken": report.value + 1})
+
+    monkeypatch.setattr(sl2, "principal_minus_subregular", with_broken_route)
+    code, out, err = run(capsys, *SMALL_VERIFY, "--format", "json")
+    assert (code, err) == (1, "")
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == list(verify.CHECKS)
+    assert [c["name"] for c in checks if not c["passed"]] == ["difference-bounds"]
+    (bounds,) = (c for c in checks if c["name"] == "difference-bounds")
+    assert bounds["detail"] == "10 types observed"
+    assert len(bounds["counterexamples"]) == 10
+    assert bounds["counterexamples"][0] == (
+        "route disagreement for A2 difference: broken=4, closed-form=3, "
+        "group-order=3, module-difference=3, raw-binomial=3"
+    )
+
+
+def test_verify_lists_a_refused_degree_pair_under_both_sweeps(capsys, monkeypatch):
+    monkeypatch.setitem(sl2._AB_EXCEPTIONAL, "G2", (4, 6))
+    code, out, err = run(capsys, *SMALL_VERIFY)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    status = [line.split()[:2] for line in lines if line[:4] in ("ok  ", "FAIL")]
+    assert [name for _, name in status] == list(verify.CHECKS)
+    assert [name for flag, name in status if flag == "FAIL"] == ["difference-bounds", "mckay"]
+    message = "       counterexample: G2: degrees 4 + 6 differ from h + 2 = 8"
+    assert lines.count(message) == 2
+    assert lines[-1] == "8/10 checks passed"
+
+
+# Each closed form that table prints for a classical column, as a function of n.
+CLOSED_FORMS = {
+    "C(n+2,3)": lambda n: comb(n + 2, 3),
+    "C(n+1,2)": lambda n: comb(n + 1, 2),
+    "n+1": lambda n: n + 1,
+    "C(2n+2,3)/2": lambda n: Fraction(comb(2 * n + 2, 3), 2),
+    "2n^2": lambda n: 2 * n * n,
+    "2n": lambda n: 2 * n,
+    "C(2n+1,3)": lambda n: comb(2 * n + 1, 3),
+    "4n(n-1)": lambda n: 4 * n * (n - 1),
+    "2n-2": lambda n: 2 * n - 2,
+    "C(2n,3)/2": lambda n: Fraction(comb(2 * n, 3), 2),
+    "2n(n-2)": lambda n: 2 * n * (n - 2),
+    "2n-4": lambda n: 2 * n - 4,
+}
+
+
+@pytest.mark.parametrize("rank", range(4, 9))
+def test_table_closed_forms_are_true_equations(rank):
+    printed = []
+    for column in table_payload(rank)["columns"]:
+        for quantity, cell in column["cells"].items():
+            if cell["form"] is not None:
+                printed.append(cell["form"])
+                expected = CLOSED_FORMS[cell["form"]](rank)
+                assert Fraction(cell["value"]) == expected, (column["label"], quantity)
+    assert sorted(printed) == sorted(CLOSED_FORMS)
 
 
 # argv vocabulary for the exit-code contract: each subcommand's flags with a

@@ -24,6 +24,7 @@ from dynkindex.rootsystems import (
     _cartan_adjugate,
     _cartan_matrix,
     _positive_root_coords,
+    _simple_norms,
     all_types,
     build,
 )
@@ -147,6 +148,8 @@ def test_integer_inverse_matches_bourbaki_at_rank_124(family):
             assert Fraction(value, det) == bourbaki_inverse(family, n, i, j), (i, j)
 
 
+# Both users of the one walk of the Dynkin tree refuse what is not a Dynkin tree.
+@pytest.mark.parametrize("walk", [_cartan_adjugate, _simple_norms], ids=lambda f: f.__name__)
 @pytest.mark.parametrize(
     "cartan",
     [
@@ -154,9 +157,9 @@ def test_integer_inverse_matches_bourbaki_at_rank_124(family):
         ((2, -2), (-2, 2)),  # affine A1: a tree, but det C = 0
     ],
 )
-def test_integer_inverse_rejects_non_dynkin_matrices(cartan):
+def test_integer_inverse_rejects_non_dynkin_matrices(cartan, walk):
     with pytest.raises(ArithmeticError):
-        _cartan_adjugate(cartan)
+        walk(cartan)
 
 
 def test_construction_errors_name_the_type(monkeypatch):

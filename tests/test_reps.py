@@ -16,7 +16,7 @@ from dynkindex.reps import (
     simplest_representation,
     weyl_dimension,
 )
-from dynkindex.rootsystems import LieType, build, classical_type
+from dynkindex.rootsystems import LieType, all_types, build, classical_type
 from dynkindex.sl2 import branch_adjoint, module_index
 
 
@@ -84,8 +84,10 @@ def test_index_examples():
 
 
 def test_zero_weight_is_trivial():
-    report = dynkin_index(build("B3"), (0, 0, 0))
-    assert report.dimension == 1 and report.index == 0
+    for lt in all_types(8):
+        rs = build(lt)
+        report = dynkin_index(rs, (0,) * rs.rank)
+        assert (report.dimension, report.index, report.is_integer) == (1, 0, True), lt
 
 
 def test_bad_weights_rejected():
