@@ -108,7 +108,8 @@ def table_rows(payload: dict) -> list[list[str]]:
 # -- index ----------------------------------------------------------------------
 
 
-def index_report(algebra: str, partition, via: str = "all") -> dict:
+def index_report(algebra: str, partition, via: str = "all") -> tuple[sl2.IndexReport, dict]:
+    """The orbit's IndexReport over the routes asked for, and its payload."""
     lt, kind, dim = parse_algebra(algebra)
     p = sl2.normalize_partition(partition)
     routes: dict[str, Fraction] = {}
@@ -132,7 +133,7 @@ def index_report(algebra: str, partition, via: str = "all") -> dict:
         if via in ("adjoint", "all"):
             routes[sl2.ADJOINT_ROUTE] = sl2.index_via_adjoint(kind, p)
     report = sl2.IndexReport(next(iter(routes.values())), routes)
-    return {
+    return report, {
         "algebra": algebra,
         "type": str(lt),
         "partition": list(p),
@@ -239,11 +240,9 @@ def _cmd_table(args, out) -> int:
 
 
 def _cmd_index(args, out) -> int:
-    payload = index_report(args.algebra, parse_parts(args.partition), args.via)
+    report, payload = index_report(args.algebra, parse_parts(args.partition), args.via)
     _emit(payload, args.format, out)
     if not payload["consistent"]:  # main writes it to stderr and exits 1
-        routes = {name: Fraction(v) for name, v in payload["routes"].items()}
-        report = sl2.IndexReport(Fraction(payload["value"]), routes)
         subject = f"{args.algebra} {tuple(payload['partition'])}"
         raise ArithmeticError(report.disagreement(subject))
     return 0
@@ -289,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls.
 
     Parsing keeps no state between calls: each parse_args returns a fresh
-    namespace, so one parser serves every main() of a process.
+    namespace, so one parser serves every main() of a process.  The
+    ``subcommands`` attribute maps each subcommand's name to its parser.
     """
     parser = argparse.ArgumentParser(
         prog="dynkindex",
@@ -345,11 +345,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_poset.add_argument("--n", type=int, required=True, help="module dimension")
     p_poset.add_argument("--format", choices=("dot", "json"), default="dot")
     p_poset.set_defaults(func=_cmd_poset)
+    parser.subcommands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.subcommands.get(argv[0]) if argv else None
+    if command is None:  # no argv, a top-level flag or an unknown command
+        args = parser.parse_args(argv)
+    else:
+        # The subcommand's parser reads its own tokens; parse_args on the
+        # top-level parser would classify them all first and then hand them
+        # down.  A leftover token gets the top-level parser's own message.
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args, sys.stdout)
     except (ValueError, OSError) as exc:

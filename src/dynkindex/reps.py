@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
+from operator import index
 
 from .rootsystems import (
     EXCEPTIONAL,
@@ -33,12 +34,16 @@ class RepIndexReport:
 
 
 def _check_weight(rs: RootSystem, weight) -> tuple[int, ...]:
-    weight = tuple(_integer(w, "weight coordinate") for w in weight)
+    weight = tuple(weight)  # an iterator is read once, before either pass
+    try:
+        weight = tuple(map(index, weight))
+    except TypeError:  # _integer names the first coordinate that is not an integer
+        weight = tuple(_integer(w, "weight coordinate") for w in weight)
     if len(weight) != rs.rank:
         raise ValueError(
             f"weight has {len(weight)} coordinates, {rs.lie_type} has rank {rs.rank}"
         )
-    if any(w < 0 for w in weight):
+    if min(weight) < 0:
         raise ValueError("highest weight coordinates must be nonnegative")
     return weight
 

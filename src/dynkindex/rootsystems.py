@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import lcm, prod
-from operator import add, gt, index
+from operator import add, gt, index, mul
 
 FAMILIES = "ABCDEFG"
 EXCEPTIONAL = ("E6", "E7", "E8", "F4", "G2")
@@ -300,11 +300,7 @@ def _clear_denominators(vector) -> tuple[list[int], int]:
 
 def _int_bilinear(matrix, xs, ys) -> int:
     # xs^T matrix ys for integer vectors and an integer matrix.
-    total = 0
-    for xi, row in zip(xs, matrix):
-        if xi:
-            total += xi * sum(m * yj for m, yj in zip(row, ys) if yj)
-    return total
+    return sum(map(mul, xs, [sum(map(mul, row, ys)) for row in matrix]))
 
 
 def _bilinear(matrix, x, y, scale: int) -> Fraction:

@@ -324,7 +324,7 @@ _COMMANDS = {
     },
     ("bogus",): {},
 }
-_STRAY = ("--help", "--rank", "--n", "--algebra", "E6", "3,2,1", "--format")
+_STRAY = ("--help", "--rank", "--n", "--algebra", "E6", "3,2,1", "--format", "--bogus", "extra")
 
 
 @st.composite
@@ -559,6 +559,54 @@ def test_help_is_the_same_on_first_and_second_call(capsys):
     assert build_parser.cache_info().misses == 1
     assert help_texts() == first
     assert build_parser.cache_info().misses == 1
+
+
+def test_a_subcommand_is_parsed_by_its_own_parser_alone(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser read a subcommand's argv")
+
+    monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
+    code, out, err = run(capsys, "rep-index", "--algebra", "A2", "--weight", "1,1")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "algebra": "A2", "type": "A2", "weight": [1, 1],
+        "dimension": 8, "index": "6", "integer": True,
+    }
+    monkeypatch.undo()
+    for argv, expected in (([], 2), (["bogus"], 2), (["-h"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        capsys.readouterr()
+        assert exc.value.code == expected, argv
+
+
+def _outcome(capsys, call, argv):
+    try:
+        code = call(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rep-index", "--algebra", "A2", "--weight", "1,1", "extra"),
+        ("table", "--bogus"),
+        ("table", "-h"),
+        (),
+        ("bogus",),
+        ("index", "--algebra", "sl4"),
+    ],
+    ids=lambda argv: " ".join(argv) or "no-argv",
+)
+def test_usage_errors_read_as_the_top_level_parse_writes_them(capsys, argv):
+    # The reference is the whole argv through the top-level parser.
+    expected = _outcome(capsys, build_parser().parse_args, argv)
+    assert _outcome(capsys, main, argv) == expected
+    code, out, err = expected  # -h prints help; the rest are usage errors
+    assert (code, bool(out), bool(err)) in ((0, True, False), (2, False, True))
 
 
 def test_parser_is_not_built_at_import():

@@ -106,6 +106,13 @@ def test_weight_coordinates_must_be_integers(bad):
         weyl_dimension(build("A2"), (0, bad))
 
 
+def test_a_weight_is_read_once_from_any_iterable():
+    rs = build("A2")
+    assert dynkin_index(rs, iter((1, 1))) == dynkin_index(rs, [1, 1])
+    with pytest.raises(ValueError, match=re.escape("weight coordinate 1.5 is not an integer")):
+        dynkin_index(rs, (w for w in (0, 1.5)))
+
+
 def test_adjoint_index_is_twice_dual_coxeter():
     assert adjoint_index(build("A2")) == 6
     assert adjoint_index(build("C3")) == 8
