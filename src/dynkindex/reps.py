@@ -12,13 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from operator import index
+from operator import index, mul
 
 from .rootsystems import (
     EXCEPTIONAL,
     LieType,
     RootSystem,
-    _int_bilinear,
     _integer,
     _require,
     build,
@@ -57,30 +56,32 @@ def weyl_dimension(rs: RootSystem, weight) -> int:
     plus (lambda_i + 1) * d_i, so the result is exact for arbitrarily large
     weights.
     """
-    return _weyl_dimension(rs, _check_weight(rs, weight))
+    return _weyl_walk(rs, _check_weight(rs, weight))[0]
 
 
-def _weyl_dimension(rs: RootSystem, weight: tuple[int, ...]) -> int:
-    # weyl_dimension on a weight that _check_weight has already returned.
+def _weyl_walk(rs: RootSystem, weight: tuple[int, ...]) -> tuple[int, list[int]]:
+    # The dimension and the pairings scale * (lambda + rho, gamma) over the
+    # positive roots, for a weight that _check_weight has already returned.
     shifted = [(wi + 1) * d for wi, d in zip(weight, rs._int_norms)]
-    dim, rem = divmod(prod(rs._scaled_root_pairings(shifted)), rs._rho_product)
+    pairings = rs._scaled_root_pairings(shifted)
+    dim, rem = divmod(prod(pairings), rs._rho_product)
     _require(rem == 0, "Weyl dimension of {} in {} is not an integer", weight, rs.lie_type)
-    return dim
+    return dim, pairings
 
 
 def dynkin_index(rs: RootSystem, weight) -> RepIndexReport:
     """Index of the irreducible module with the given highest weight.
 
-    dim(V) (lambda, lambda + 2 rho) / dim(g), with the form summed in
-    integers over the weight Gram matrix scaled by det C * ``_scale``, so
-    the quotient is one Fraction.  The zero weight yields the trivial
-    module: dimension 1, index 0.
+    dim(V) (lambda, lambda + 2 rho) / dim(g), from the one root walk that
+    gives the dimension: as sum_{gamma > 0} (mu, gamma)^2 = h* (mu, mu) (the
+    Killing form), the squared scaled pairings (lambda + rho, gamma) less the
+    stored (rho, gamma) ones sum to scale^2 h* (lambda, lambda + 2 rho).  The
+    zero weight yields the trivial module: dimension 1, index 0.
     """
     weight = _check_weight(rs, weight)
-    dim = _weyl_dimension(rs, weight)
-    shifted = [w + 2 for w in weight]
-    form = _int_bilinear(rs._weight_gram, weight, shifted)
-    value = Fraction(dim * form, rs.dimension * rs._det * rs._scale)
+    dim, pairings = _weyl_walk(rs, weight)
+    form = sum(map(mul, pairings, pairings)) - rs._rho_square_sum
+    value = Fraction(dim * form, rs.dimension * rs._scale**2 * rs.dual_coxeter_number())
     return RepIndexReport(dim, value, value.denominator == 1)
 
 

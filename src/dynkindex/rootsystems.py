@@ -5,13 +5,15 @@ generated from the Cartan matrix by root-string closure.  The invariant
 bilinear form is normalised so that long roots have squared length 2.
 
 Every type constant is computed once, in the constructor, as a scaled
-integer: the half squared lengths of the simple roots times ``_scale``, the
-Gram matrix times ``_scale``, and the inverse Cartan matrix as ``det C`` and
-the adjugate ``det C * C^-1``, found by eliminating from the leaves of the
-Dynkin tree (integer-preserving in the sense of Bareiss).  The forms sum
-over these integer matrices and divide once at the end, so every result is
-an exact integer or Fraction.  Broken invariants raise ``ArithmeticError``
-in every run mode, ``python -O`` included.
+integer: the half squared lengths of the simple roots and the Gram matrix
+times ``_scale``, and the product and the square sum of the scaled pairings
+(rho, gamma) over the positive roots.  The forms sum over these integers and
+divide once, so every result is an exact integer or Fraction.  Only the
+fundamental weights and the weight form read the inverse Cartan matrix, as
+``det C`` and the adjugate ``det C * C^-1``, computed on access by
+eliminating from the leaves of the Dynkin tree (integer-preserving in the
+sense of Bareiss).  Broken invariants raise ``ArithmeticError`` in every run
+mode, ``python -O`` included.
 
 Simple roots are numbered as in Bourbaki, so fundamental-weight coordinates
 agree with the usual tables (e.g. the first fundamental weight of E6 carries
@@ -398,24 +400,17 @@ class RootSystem:
             for lt, st in zip(long_total, short_total)
         )
 
-        # The scaled-integer kernel.  (omega_i, omega_j) = (C^-1)_ij d_j, so
-        # the weight Gram matrix is the adjugate times the scaled norms.
-        det, adjugate = _cartan_adjugate(self.cartan)
-        weight_gram = tuple(
-            tuple(a * w for a, w in zip(row, int_norms)) for row in adjugate
-        )
-        _require(weight_gram == tuple(zip(*weight_gram)), "weight form is not symmetric")
         self._scale = scale
         self._int_norms = int_norms
         self._int_gram = int_gram
-        self._det = det
-        self._adjugate = adjugate
-        self._weight_gram = weight_gram
         # Root k >= rank is root parents[k - rank] plus simple root steps[k - rank].
         self._root_parents = parents
         self._root_steps = steps
-        # Weyl denominator prod (rho, gamma) * scale^N over the positive roots.
-        self._rho_product = prod(self._scaled_root_pairings(int_norms))
+        # Over the positive roots, the Weyl denominator prod (rho, gamma) *
+        # scale^N and sum (rho, gamma)^2 * scale^2 = h* (rho, rho) * scale^2.
+        rho_pairings = self._scaled_root_pairings(int_norms)
+        self._rho_product = prod(rho_pairings)
+        self._rho_square_sum = sum(map(mul, rho_pairings, rho_pairings))
         self._frozen = True
 
     def __setattr__(self, name: str, value) -> None:
@@ -457,18 +452,21 @@ class RootSystem:
     @property
     def fundamental_weights(self) -> tuple[tuple[Fraction, ...], ...]:
         """Fundamental weights as root-coordinate rows (inverse Cartan),
-        read off the integer adjugate on each access."""
-        return tuple(
-            tuple(Fraction(a, self._det) for a in row) for row in self._adjugate
-        )
+        read off the integer adjugate, which each access computes."""
+        det, adjugate = _cartan_adjugate(self.cartan)
+        return tuple(tuple(Fraction(a, det) for a in row) for row in adjugate)
 
     def weight_form(self, a, b) -> Fraction:
         """Invariant form between two weights in fundamental coordinates.
 
-        Sums over the integer matrix M_ij = det C * scale * (omega_i, omega_j)
-        and divides once.
+        (omega_i, omega_j) = (C^-1)_ij d_j, so each call computes the integer
+        matrix M_ij = det C * scale * (omega_i, omega_j) from the adjugate,
+        checks that it is symmetric, sums over it and divides once.
         """
-        return _bilinear(self._weight_gram, a, b, self._det * self._scale)
+        det, adjugate = _cartan_adjugate(self.cartan)
+        gram = tuple(tuple(map(mul, row, self._int_norms)) for row in adjugate)
+        _require(gram == tuple(zip(*gram)), "weight form is not symmetric")
+        return _bilinear(gram, a, b, det * self._scale)
 
     # -- classical invariants ------------------------------------------------
 

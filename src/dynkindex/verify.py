@@ -15,7 +15,7 @@ its failures are listed in sweep order.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import wraps
 from itertools import product
@@ -42,12 +42,12 @@ class VerifyConfig:
 BOUNDS = tuple(f.name for f in fields(VerifyConfig) if f.name != "families")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
     detail: str
-    failures: list[str] = field(default_factory=list)
+    failures: tuple[str, ...] = ()
 
 
 Sweep = Callable[[VerifyConfig], Iterator[list[str]]]
@@ -66,7 +66,7 @@ def _check(name: str, counted: str) -> Callable[[Sweep], Check]:
             for case_failures in sweep(config):
                 cases += 1
                 failures += case_failures
-            return CheckResult(name, not failures, f"{cases} {counted}", failures)
+            return CheckResult(name, not failures, f"{cases} {counted}", tuple(failures))
 
         CHECKS[name] = check
         return check

@@ -642,7 +642,7 @@ def test_golden_verify_flags_over_config(tmp_path, capsys, flags, fmt, digest):
     ("json", "4ac71767e9c9ae96d112fefced91becf637180de8e4f15b4da747f34732c88dc"),
 ], ids=["text", "json"])
 def test_golden_verify_failure_output(capsys, monkeypatch, fmt, digest):
-    failures = [f"sl ({i},)" for i in range(25)]  # text output shows the first 20
+    failures = tuple(f"sl ({i},)" for i in range(25))  # text output shows the first 20
     failing = CheckResult("minimal-orbit", False, "25 minimal orbits checked", failures)
     monkeypatch.setitem(verify.CHECKS, "minimal-orbit", lambda config: failing)
     argv = ("verify", "--only", "minimal-orbit", "--only", "unfolding", "--format", fmt)

@@ -1,13 +1,14 @@
 """The scaled-integer kernel of the root systems against independent oracles.
 
 The library inverts the Cartan matrix in integers on the Dynkin tree,
-evaluates the forms and the Weyl dimension over integer matrices, and finds
-the positive roots by reading string lengths off recorded edges.  The
-oracles here take other routes: Gauss-Jordan over Fractions, the closed-form
-inverses of Bourbaki's Planches, the direct products over the roots, a
-closure that probes each string length against the set of known roots, and,
-for the dual Coxeter number and the height sums stored at construction, the
-Fraction form and sums root by root.
+evaluates the forms over integer matrices, takes the Weyl dimension and the
+index from one walk of scaled root pairings, and finds the positive roots by
+reading string lengths off recorded edges.  The oracles here take other
+routes: Gauss-Jordan over Fractions, the closed-form inverses of Bourbaki's
+Planches, the direct products over the roots, a closure that probes each
+string length against the set of known roots, and, for the dual Coxeter
+number and the height sums stored at construction, the Fraction form and
+sums root by root.
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dynkindex import rootsystems
-from dynkindex.reps import dynkin_index, weyl_dimension
+from dynkindex.reps import RepIndexReport, dynkin_index, weyl_dimension
 from dynkindex.rootsystems import (
     LieType,
     RootSystem,
@@ -164,15 +165,34 @@ def test_integer_inverse_rejects_non_dynkin_matrices(cartan, walk):
 
 def test_construction_errors_name_the_type(monkeypatch):
     # Fresh objects, so the cached root systems stay intact.
-    norms, adjugate = rootsystems._simple_norms, rootsystems._cartan_adjugate
+    norms = rootsystems._simple_norms
     monkeypatch.setattr(rootsystems, "_simple_norms", lambda c: tuple(2 * d for d in norms(c)))
     with pytest.raises(ArithmeticError, match=r"^B3: normalisation failed$"):
         RootSystem(LieType("B", 3))
     monkeypatch.undo()
-    # A message of _cartan_adjugate: affine A1 is not positive definite.
-    monkeypatch.setattr(rootsystems, "_cartan_adjugate", lambda c: adjugate(((2, -2), (-2, 2))))
+    # A message of the walk of the Dynkin tree: affine A1 is not positive definite.
+    monkeypatch.setattr(rootsystems, "_simple_norms", lambda c: norms(((2, -2), (-2, 2))))
     with pytest.raises(ArithmeticError, match=r"^G2: Cartan matrix is not positive definite$"):
         RootSystem(LieType("G", 2))
+
+
+def test_construction_and_the_index_never_invert_the_cartan_matrix(monkeypatch):
+    def refuse(cartan):
+        raise AssertionError("inverted the Cartan matrix")
+
+    monkeypatch.setattr(rootsystems, "_cartan_adjugate", refuse)
+    rs = RootSystem(LieType("E", 7))  # a fresh object, not the cached one
+    omega7 = (0, 0, 0, 0, 0, 0, 1)
+    assert weyl_dimension(rs, omega7) == 56
+    assert dynkin_index(rs, omega7) == RepIndexReport(56, Fraction(12), True)
+
+
+def test_construction_walks_the_dynkin_tree_once(monkeypatch):
+    calls = []
+    walk = rootsystems._dynkin_tree
+    monkeypatch.setattr(rootsystems, "_dynkin_tree", lambda c: calls.append(c) or walk(c))
+    RootSystem(LieType("F", 4))
+    assert len(calls) == 1
 
 
 def test_require_formats_its_message_only_on_failure():
@@ -234,6 +254,17 @@ def test_weight_form_matches_fraction_reference(case):
     rs = build(label)
     assert rs.weight_form(a, b) == weight_form_oracle(rs, a, b)
     assert rs.weight_form(a, b) == rs.weight_form(b, a)
+
+
+@given(weights(0, 40))
+def test_dynkin_index_matches_fraction_oracles(case):
+    # Neither oracle walks the root pairings: ind V = dim V (lambda, lambda +
+    # 2 rho) / dim g, with rho = sum of the fundamental weights.
+    label, weight = case
+    rs = build(label)
+    form = weight_form_oracle(rs, weight, tuple(x + 2 for x in weight))
+    expected = weyl_product_oracle(rs, weight) * form / rs.dimension
+    assert dynkin_index(rs, weight).index == expected
 
 
 def fraction_gram(rs):

@@ -130,7 +130,7 @@ def test_broken_degree_pair_raises_under_python_O():
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert lines[0].startswith("raised G2: degrees 4 + 6")
-    assert lines[1].startswith("False ['G2: degrees 4 + 6")
+    assert lines[1].startswith("False ('G2: degrees 4 + 6")
 
 
 def test_module_index_values():

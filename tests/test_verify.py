@@ -1,6 +1,10 @@
-"""Verify checks driven into failure through the library they sweep."""
+"""Verify checks driven into failure through the library they sweep, and
+the immutability of their results."""
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+
+import pytest
 
 from dynkindex import orbits, sl2, verify
 from dynkindex.sl2 import KINDS
@@ -17,7 +21,7 @@ def test_minimal_orbit_reports_every_broken_sl_case(monkeypatch):
     assert result.name == "minimal-orbit"
     assert result.passed is False
     assert result.detail == "46 minimal orbits checked"
-    assert result.failures == [f"sl {(2,) + (1,) * (n - 2)}" for n in range(2, 21)]
+    assert result.failures == tuple(f"sl {(2,) + (1,) * (n - 2)}" for n in range(2, 21))
 
 
 def test_monotonicity_reports_both_failures_per_poset(monkeypatch):
@@ -35,7 +39,7 @@ def test_monotonicity_reports_both_failures_per_poset(monkeypatch):
     assert result.name == "monotonicity"
     assert result.passed is False
     assert result.detail == "28 posets checked"
-    assert result.failures == expected
+    assert result.failures == tuple(expected)
     assert len(expected) == 51
 
 
@@ -63,3 +67,10 @@ def test_routes_reports_a_disagreement_in_the_one_form(monkeypatch):
     assert result.failures[0] == (
         "route disagreement for sl (2,): adjoint-branching=2, partition-formula=1"
     )
+
+
+def test_check_results_are_immutable():
+    (result,) = verify.run_checks(verify.VerifyConfig(families=("unfolding",)))
+    assert result.passed and type(result.failures) is tuple
+    with pytest.raises(FrozenInstanceError):
+        result.failures = ("added later",)
