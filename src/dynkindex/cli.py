@@ -227,7 +227,12 @@ def read_config_file(path: str) -> dict:
             if field == "families":
                 values[field] = tuple(x.strip() for x in value.split(",") if x.strip())
             else:
-                values[field] = int(value)
+                try:
+                    values[field] = int(value)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: {key} must be an integer, got {value!r}"
+                    ) from None
     return values
 
 

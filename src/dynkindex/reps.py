@@ -51,16 +51,16 @@ def weyl_dimension(rs: RootSystem, weight) -> int:
     """Dimension of the irreducible module with the given highest weight.
 
     Product over positive roots of (lambda+rho, gamma)/(rho, gamma), in
-    integers scaled by ``_scale``.  The denominator is a type constant
-    stored by the root system; each numerator pairing is its parent root's
-    plus (lambda_i + 1) * d_i, so the result is exact for arbitrarily large
-    weights.
+    integers scaled by the root-length ratio ``r``.  The denominator is a
+    type constant stored by the root system; each numerator pairing is its
+    parent root's plus (lambda_i + 1) * d_i, so the result is exact for
+    arbitrarily large weights.
     """
     return _weyl_walk(rs, _check_weight(rs, weight))[0]
 
 
 def _weyl_walk(rs: RootSystem, weight: tuple[int, ...]) -> tuple[int, list[int]]:
-    # The dimension and the pairings scale * (lambda + rho, gamma) over the
+    # The dimension and the pairings r * (lambda + rho, gamma) over the
     # positive roots, for a weight that _check_weight has already returned.
     shifted = [(wi + 1) * d for wi, d in zip(weight, rs._int_norms)]
     pairings = rs._scaled_root_pairings(shifted)
@@ -75,13 +75,13 @@ def dynkin_index(rs: RootSystem, weight) -> RepIndexReport:
     dim(V) (lambda, lambda + 2 rho) / dim(g), from the one root walk that
     gives the dimension: as sum_{gamma > 0} (mu, gamma)^2 = h* (mu, mu) (the
     Killing form), the squared scaled pairings (lambda + rho, gamma) less the
-    stored (rho, gamma) ones sum to scale^2 h* (lambda, lambda + 2 rho).  The
+    stored (rho, gamma) ones sum to r^2 h* (lambda, lambda + 2 rho).  The
     zero weight yields the trivial module: dimension 1, index 0.
     """
     weight = _check_weight(rs, weight)
     dim, pairings = _weyl_walk(rs, weight)
     form = sum(map(mul, pairings, pairings)) - rs._rho_square_sum
-    value = Fraction(dim * form, rs.dimension * rs._scale**2 * rs.dual_coxeter_number())
+    value = Fraction(dim * form, rs.dimension * rs.r**2 * rs.dual_coxeter_number())
     return RepIndexReport(dim, value, value.denominator == 1)
 
 
@@ -141,9 +141,7 @@ def simplest_representation(lt: LieType) -> tuple[tuple[int, ...], int, str]:
     if key not in _SIMPLEST:
         raise ValueError(f"{lt} is not exceptional")
     weight, dim, kind, _ = _SIMPLEST[key]
-    _require(
-        weyl_dimension(build(lt), weight) == dim, f"{lt} module is not {dim}-dimensional"
-    )
+    _require(weyl_dimension(build(lt), weight) == dim, "{} module is not {}-dimensional", lt, dim)
     return weight, dim, kind
 
 

@@ -6,14 +6,14 @@ bilinear form is normalised so that long roots have squared length 2.
 
 Every type constant is computed once, in the constructor, as a scaled
 integer: the half squared lengths of the simple roots and the Gram matrix
-times ``_scale``, and the product and the square sum of the scaled pairings
-(rho, gamma) over the positive roots.  The forms sum over these integers and
-divide once, so every result is an exact integer or Fraction.  Only the
-fundamental weights and the weight form read the inverse Cartan matrix, as
-``det C`` and the adjugate ``det C * C^-1``, computed on access by
-eliminating from the leaves of the Dynkin tree (integer-preserving in the
-sense of Bareiss).  Broken invariants raise ``ArithmeticError`` in every run
-mode, ``python -O`` included.
+times the root-length ratio ``r``, and the product and the square sum of
+the scaled pairings (rho, gamma) over the positive roots.  The forms sum
+over these integers and divide once, so every result is an exact integer
+or Fraction.  Only the fundamental weights and the weight form read the
+inverse Cartan matrix, as ``det C`` and the adjugate ``det C * C^-1``,
+computed on access by eliminating from the leaves of the Dynkin tree
+(integer-preserving in the sense of Bareiss).  Broken invariants raise
+``ArithmeticError`` in every run mode, ``python -O`` included.
 
 Simple roots are numbered as in Bourbaki, so fundamental-weight coordinates
 agree with the usual tables (e.g. the first fundamental weight of E6 carries
@@ -331,7 +331,9 @@ class RootSystem:
         self.rank = lie_type.rank
         self.cartan = _cartan_matrix(lie_type)
         self.simple_norms = _simple_norms(self.cartan)
-        scale = lcm(*(d.denominator for d in self.simple_norms))
+        # The shortest simple root has d = 1/r, so r is the common denominator.
+        self.r = scale = lcm(*(d.denominator for d in self.simple_norms))
+        _require(scale in (1, 2, 3), "root length ratio {} is not 1, 2 or 3", scale)
         int_norms = tuple(int(d * scale) for d in self.simple_norms)
         int_gram = tuple(
             tuple(c * w for c, w in zip(row, int_norms)) for row in self.cartan
@@ -370,15 +372,9 @@ class RootSystem:
         _require(counts[self.theta.height] == 1, "highest root is not unique")
         _require(self.theta.norm2 == 2, "normalisation failed")
 
-        shorts = [r for r in roots if not r.is_long]
-        if shorts:
-            self.theta_short = max(shorts, key=lambda r: r.height)
-            ratio = 2 / self.theta_short.norm2
-            _require(ratio in (2, 3), "root length ratio {} is not 2 or 3", ratio)
-            self.r = int(ratio)
-        else:
-            self.theta_short = self.theta
-            self.r = 1
+        shorts = (r for r in roots if not r.is_long)
+        self.theta_short = max(shorts, key=lambda r: r.height, default=self.theta)
+        _require(self.theta_short.norm2 * scale == 2, "(theta_s, theta_s) * r is not 2")
 
         # h* = 1 + (rho, theta-check) = 1 + (2 rho, theta) / 2, since
         # (theta, theta) = 2: one integer sum over the scaled Gram matrix.
@@ -400,7 +396,6 @@ class RootSystem:
             for lt, st in zip(long_total, short_total)
         )
 
-        self._scale = scale
         self._int_norms = int_norms
         self._int_gram = int_gram
         # Root k >= rank is root parents[k - rank] plus simple root steps[k - rank].
@@ -426,10 +421,10 @@ class RootSystem:
     def form(self, x, y) -> Fraction:
         """Normalised invariant form between vectors in root coordinates.
 
-        Sums over the integer Gram matrix scaled by ``_scale`` (rational
+        Sums over the integer Gram matrix scaled by ``r`` (rational
         entries are first put over a common denominator) and divides once.
         """
-        return _bilinear(self._int_gram, x, y, self._scale)
+        return _bilinear(self._int_gram, x, y, self.r)
 
     def coroot_pairings(self, coords) -> tuple[int, ...]:
         """Pairings of an integer root-coordinate vector with every simple coroot."""
@@ -439,8 +434,8 @@ class RootSystem:
         )
 
     def _scaled_root_pairings(self, shifted) -> list[int]:
-        """scale * (mu, gamma) for every positive root gamma, in root order,
-        from scale * (mu, alpha_i) for each simple root: one addition per
+        """r * (mu, gamma) for every positive root gamma, in root order,
+        from r * (mu, alpha_i) for each simple root: one addition per
         root along its parent pointer."""
         values = list(shifted)
         for parent, i in zip(self._root_parents, self._root_steps):
@@ -460,13 +455,13 @@ class RootSystem:
         """Invariant form between two weights in fundamental coordinates.
 
         (omega_i, omega_j) = (C^-1)_ij d_j, so each call computes the integer
-        matrix M_ij = det C * scale * (omega_i, omega_j) from the adjugate,
+        matrix M_ij = det C * r * (omega_i, omega_j) from the adjugate,
         checks that it is symmetric, sums over it and divides once.
         """
         det, adjugate = _cartan_adjugate(self.cartan)
         gram = tuple(tuple(map(mul, row, self._int_norms)) for row in adjugate)
         _require(gram == tuple(zip(*gram)), "weight form is not symmetric")
-        return _bilinear(gram, a, b, det * self._scale)
+        return _bilinear(gram, a, b, det * self.r)
 
     # -- classical invariants ------------------------------------------------
 

@@ -143,16 +143,18 @@ def branch_adjoint_multiplicities(kind: str, p: Partition) -> Sl2Multiset:
     """Restriction of sl/sp/so (on the module of Jordan type p) to the sl2,
     as (label, multiplicity) pairs with labels descending.
 
-    sl(V) is V tensor V* minus one trivial summand, sp(V) the symmetric
-    square, so(V) the exterior square.  V is grouped by part size: two
-    distinct sizes a, b with multiplicities m_a, m_b give CG(a, b) m_a m_b
-    times; one size with multiplicity m gives CG(a, a) C(m, 2) times in the
-    cross terms and m copies of Sym^2 or Lambda^2 of itself.  The
-    Clebsch-Gordan work is quadratic in the number of distinct part sizes,
-    not in the number of parts.
+    sp(V) is the symmetric square of V and so(V) the exterior square.  Every
+    sl2-module is self-dual, so sl(V) = V tensor V* is Sym^2 V + Lambda^2 V
+    less one trivial summand, and one loop serves all three kinds.  V is
+    grouped by part size.  Each square of V gives CG(a, b) m_a m_b times for
+    two distinct sizes a, b with multiplicities m_a, m_b, and, for one size a
+    with multiplicity m, CG(a, a) C(m, 2) times plus m copies of the square
+    of V_a itself.  The Clebsch-Gordan work is quadratic in the number of
+    distinct part sizes, not in the number of parts.
     """
     p = normalize_partition(p)
     _require_admissible(kind, p)
+    squares = {"sl": (sym2, wedge2), "sp": (sym2,), "so": (wedge2,)}[kind]
     counts = Counter(branch_vector_rep(p))
     sizes = sorted(counts, reverse=True)
     out: Counter[int] = Counter()
@@ -161,22 +163,17 @@ def branch_adjoint_multiplicities(kind: str, p: Partition) -> Sl2Multiset:
         for d in components:
             out[d] += times
 
+    for i, a in enumerate(sizes):
+        m = counts[a]
+        for b in sizes[i + 1 :]:
+            add(clebsch_gordan(a, b), len(squares) * m * counts[b])
+        add(clebsch_gordan(a, a), len(squares) * comb(m, 2))
+        for square in squares:
+            add(square(a), m)
     n = sum(p)
     if kind == "sl":
-        for a in sizes:
-            for b in sizes:
-                add(clebsch_gordan(a, b), counts[a] * counts[b])
-        out[0] -= 1
-        expected = n * n - 1
-    else:
-        square = sym2 if kind == "sp" else wedge2
-        for i, a in enumerate(sizes):
-            m = counts[a]
-            for b in sizes[i + 1 :]:
-                add(clebsch_gordan(a, b), m * counts[b])
-            add(clebsch_gordan(a, a), comb(m, 2))
-            add(square(a), m)
-        expected = n * (n + 1) // 2 if kind == "sp" else n * (n - 1) // 2
+        out[0] -= 1  # gl(V) = V (x) V* less its centre, the scalars
+    expected = {"sl": n * n - 1, "sp": n * (n + 1) // 2, "so": n * (n - 1) // 2}[kind]
     pairs = tuple(sorted(((d, m) for d, m in out.items() if m), reverse=True))
     dimension = sum((d + 1) * m for d, m in pairs)
     _require(dimension == expected, "{} branching of {}: wrong dimension", kind, p)
@@ -342,13 +339,11 @@ def subregular_module(rs: RootSystem) -> Sl2Module:
     Drops the top exponent from the principal decomposition and adds the
     three pieces of degrees a-2, b-2 and h-2.
     """
-    if rs.rank < 2:
-        raise ValueError(f"{rs.lie_type}: rank 1 has no subregular orbit")
+    data = mckay_data(rs.lie_type)  # refuses rank 1, which has no subregular orbit
     exps = rs.exponents()
     h = rs.coxeter_number()
     exps_ok = exps[0] == 1 and exps[0] < exps[1] and exps[-2] < exps[-1] == h - 1
     _require(exps_ok, "{}: exponents {} do not fit h = {}", rs.lie_type, exps, h)
-    data = mckay_data(rs.lie_type)
     components = tuple(
         sorted(
             [2 * m for m in exps[:-1]] + [data.a - 2, data.b - 2, h - 2],

@@ -454,6 +454,14 @@ def test_table_payload_rejects_low_rank():
         table_payload(3)
 
 
+def test_config_bound_that_is_not_an_integer_names_file_line_and_key(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("# bounds\nmax-classical-rank = ten\n")
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: {cfg}:2: max-classical-rank must be an integer, got 'ten'\n"
+
+
 def test_config_reader_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("surprise = 1\n")

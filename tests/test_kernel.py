@@ -176,6 +176,22 @@ def test_construction_errors_name_the_type(monkeypatch):
         RootSystem(LieType("G", 2))
 
 
+def test_root_length_ratio_is_bounded_and_tied_to_the_highest_short_root(monkeypatch):
+    # r is read off the simple norms; the short roots must then be 2/r long.
+    monkeypatch.setattr(rootsystems, "_simple_norms", lambda c: (Fraction(1, 4),))
+    with pytest.raises(ArithmeticError, match=r"^A1: root length ratio 4 is not 1, 2 or 3$"):
+        RootSystem(LieType("A", 1))
+    monkeypatch.undo()
+    root = rootsystems.Root
+
+    def halve_short(coords, height, is_long, norm2):
+        return root(coords, height, is_long, norm2 if is_long else norm2 / 2)
+
+    monkeypatch.setattr(rootsystems, "Root", halve_short)
+    with pytest.raises(ArithmeticError, match=r"^B2: \(theta_s, theta_s\) \* r is not 2$"):
+        RootSystem(LieType("B", 2))
+
+
 def test_construction_and_the_index_never_invert_the_cartan_matrix(monkeypatch):
     def refuse(cartan):
         raise AssertionError("inverted the Cartan matrix")
@@ -269,7 +285,7 @@ def test_dynkin_index_matches_fraction_oracles(case):
 
 def fraction_gram(rs):
     """Oracle: the Gram matrix of the simple roots, one Fraction per entry."""
-    return [[Fraction(g, rs._scale) for g in row] for row in rs._int_gram]
+    return [[Fraction(g, rs.r) for g in row] for row in rs._int_gram]
 
 
 def test_form_matches_fraction_gram():

@@ -180,6 +180,14 @@ def test_simplest_representations():
         simplest_representation(LieType.parse("B4"))
 
 
+def test_simplest_representation_formats_its_message_only_on_failure():
+    class Unformattable(LieType):
+        def __format__(self, spec):
+            raise AssertionError("formatted the message of a check that held")
+
+    assert simplest_representation(Unformattable("E", 6))[1] == 27
+
+
 def test_exceptional_embedding_indices():
     assert simplest_embedding_index(LieType.parse("E7")) == 12
     assert simplest_embedding_index(LieType.parse("F4")) == 3

@@ -142,7 +142,7 @@ def test_gram_matrix_normalised_and_positive_definite():
             assert root.norm2 == (2 if root.is_long else Fraction(2, rs.r))
         # leading principal minors of the Gram matrix, rebuilt as Fractions
         # from its scaled integers, by elimination on a copy
-        m = [[Fraction(rs._int_gram[i][j], rs._scale) for j in range(n)] for i in range(n)]
+        m = [[Fraction(rs._int_gram[i][j], rs.r) for j in range(n)] for i in range(n)]
         det = Fraction(1)
         for col in range(n):
             assert m[col][col] != 0

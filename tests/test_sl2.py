@@ -235,6 +235,20 @@ def test_branch_adjoint():
                     assert module_dimension(comps) == n * (n - 1) // 2
 
 
+def test_sl_branching_sums_the_two_squares(monkeypatch):
+    # sl(V) = Sym^2 V + Lambda^2 V - 1: for five distinct part sizes, C(5, 2)
+    # cross terms and 5 diagonal terms, and each square once a size.
+    calls = Counter()
+    for name in ("clebsch_gordan", "sym2", "wedge2"):
+        def counted(*args, _name=name, _f=getattr(sl2, name)):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(sl2, name, counted)
+    branch_adjoint_multiplicities("sl", (5, 4, 3, 2, 1))
+    assert calls == {"clebsch_gordan": 15, "sym2": 5, "wedge2": 5}
+
+
 def test_adjoint_route_examples():
     assert index_via_adjoint("sl", (4,)) == 10
     assert index_via_adjoint("sp", (2, 2)) == 2
@@ -379,7 +393,8 @@ def test_subregular_module():
     for label in ("A5", "B5", "C5", "D5", "E6", "E7", "E8", "F4", "G2"):
         rs = build(label)
         assert module_dimension(subregular_module(rs)) == rs.dimension
-    with pytest.raises(ValueError):
+    refusal = r"^A1: rank 1 has no subregular orbit and no degree pair$"
+    with pytest.raises(ValueError, match=refusal):
         subregular_module(build("A1"))
 
 
