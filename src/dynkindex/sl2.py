@@ -23,8 +23,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, groupby, repeat
+from itertools import accumulate, chain, compress, groupby, repeat
 from math import comb
+from operator import add, index, mul
 from types import MappingProxyType
 
 from . import reps
@@ -43,12 +44,16 @@ def binom3(m: int) -> int:
 
 
 def normalize_partition(parts) -> Partition:
-    p = tuple(sorted((_integer(x, "partition part") for x in parts), reverse=True))
+    values = tuple(parts)  # a generator is read once, before either pass
+    try:
+        p = sorted(map(index, values), reverse=True)
+    except TypeError:  # _integer names the first part that is not an integer
+        p = sorted((_integer(x, "partition part") for x in values), reverse=True)
     if not p:
         raise ValueError("empty partition")
     if p[-1] < 1:
         raise ValueError(f"partition parts must be positive: {parts}")
-    return p
+    return tuple(p)
 
 
 def partition_is_admissible(kind: str, p: Partition) -> bool:
@@ -101,25 +106,41 @@ def branch_vector_rep(p: Partition) -> Sl2Module:
     return tuple(part - 1 for part in p)
 
 
+# The labels of CG(a, b), Sym^2 V_m and Lambda^2 V_m, each a progression,
+# largest first; the public functions below expand them.
+
+
+def _cg_labels(a: int, b: int) -> range:
+    return range(a + b, abs(a - b) - 1, -2)
+
+
+def _sym2_labels(m: int) -> range:
+    return range(2 * m, -1, -4)
+
+
+def _wedge2_labels(m: int) -> range:
+    return range(2 * m - 2, -1, -4)
+
+
 def clebsch_gordan(a: int, b: int) -> Sl2Module:
     """Tensor product of two sl2-irreducibles."""
     if a < 0 or b < 0:
         raise ValueError("component labels must be nonnegative")
-    return tuple(a + b - 2 * k for k in range(min(a, b) + 1))
+    return tuple(_cg_labels(a, b))
 
 
 def sym2(m: int) -> Sl2Module:
     """Symmetric square of one irreducible: 2m, 2m-4, ... down to 0 or 2."""
     if m < 0:
         raise ValueError("component labels must be nonnegative")
-    return tuple(2 * m - 4 * k for k in range(m // 2 + 1))
+    return tuple(_sym2_labels(m))
 
 
 def wedge2(m: int) -> Sl2Module:
     """Exterior square of one irreducible: 2m-2, 2m-6, ... (empty for m=0)."""
     if m < 0:
         raise ValueError("component labels must be nonnegative")
-    return tuple(2 * m - 2 - 4 * k for k in range((m + 1) // 2))
+    return tuple(_wedge2_labels(m))
 
 
 # -- indices from partitions -------------------------------------------------
@@ -149,35 +170,56 @@ def branch_adjoint_multiplicities(kind: str, p: Partition) -> Sl2Multiset:
     grouped by part size.  Each square of V gives CG(a, b) m_a m_b times for
     two distinct sizes a, b with multiplicities m_a, m_b, and, for one size a
     with multiplicity m, CG(a, a) C(m, 2) times plus m copies of the square
-    of V_a itself.  The Clebsch-Gordan work is quadratic in the number of
-    distinct part sizes, not in the number of parts.
+    of V_a itself.
+
+    The labels of each such term form a progression, of step 2 for CG(a, b)
+    and step 4 for a square, so a term is two updates of a difference array
+    of its step: +times at its top label and -times one step below its
+    bottom label.  The arrays are indexed by 2 a_max - label (a_max the
+    largest label of V), so the slot below a bottom label of 0 is 2 a_max + 2
+    or 2 a_max + 4, never a negative index.  Running sums within each residue
+    class of the step then give the multiplicity of every label, largest
+    first.  The work is quadratic in the number of distinct part sizes plus
+    linear in the largest part; it does not grow with the length of each
+    Clebsch-Gordan series.
     """
     p = normalize_partition(p)
     _require_admissible(kind, p)
-    squares = {"sl": (sym2, wedge2), "sp": (sym2,), "so": (wedge2,)}[kind]
+    squares = {
+        "sl": (_sym2_labels, _wedge2_labels),
+        "sp": (_sym2_labels,),
+        "so": (_wedge2_labels,),
+    }[kind]
     counts = Counter(branch_vector_rep(p))
     sizes = sorted(counts, reverse=True)
-    out: Counter[int] = Counter()
+    top = 2 * sizes[0]
+    diffs = {2: [0] * (top + 5), 4: [0] * (top + 5)}  # label top - i at slot i
 
-    def add(components: Sl2Module, times: int) -> None:
-        for d in components:
-            out[d] += times
+    def record(labels: range, times: int) -> None:
+        diff = diffs[-labels.step]
+        diff[top - labels.start] += times
+        diff[top - labels.start - len(labels) * labels.step] -= times
 
     for i, a in enumerate(sizes):
         m = counts[a]
         for b in sizes[i + 1 :]:
-            add(clebsch_gordan(a, b), len(squares) * m * counts[b])
-        add(clebsch_gordan(a, a), len(squares) * comb(m, 2))
+            record(_cg_labels(a, b), len(squares) * m * counts[b])
+        record(_cg_labels(a, a), len(squares) * comb(m, 2))
         for square in squares:
-            add(square(a), m)
+            record(square(a), m)
+    multiplicities = [0] * (top + 5)
+    for step, diff in diffs.items():
+        for r in range(step):  # running sums within each residue class
+            run = accumulate(diff[r::step])
+            multiplicities[r::step] = map(add, multiplicities[r::step], run)
+    del multiplicities[top + 1 :]
     n = sum(p)
     if kind == "sl":
-        out[0] -= 1  # gl(V) = V (x) V* less its centre, the scalars
+        multiplicities[top] -= 1  # gl(V) = V (x) V* less its centre, the scalars
     expected = {"sl": n * n - 1, "sp": n * (n + 1) // 2, "so": n * (n - 1) // 2}[kind]
-    pairs = tuple(sorted(((d, m) for d, m in out.items() if m), reverse=True))
-    dimension = sum((d + 1) * m for d, m in pairs)
+    dimension = sum(map(mul, range(top + 1, 0, -1), multiplicities))
     _require(dimension == expected, "{} branching of {}: wrong dimension", kind, p)
-    return pairs
+    return tuple(compress(zip(range(top, -1, -1), multiplicities), multiplicities))
 
 
 def branch_adjoint(kind: str, p: Partition) -> Sl2Module:

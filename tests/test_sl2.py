@@ -11,7 +11,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dynkindex import sl2
@@ -144,17 +144,21 @@ def test_module_index_values():
 
 def test_partition_normalisation():
     assert normalize_partition([1, 3, 2]) == (3, 2, 1)
+    assert normalize_partition(x for x in (1, 3, 2)) == (3, 2, 1)
     with pytest.raises(ValueError):
         normalize_partition([])
     with pytest.raises(ValueError):
         normalize_partition([2, 0])
 
 
-@pytest.mark.parametrize("bad", [2.7, Fraction(1, 2), "1"], ids=repr)
+@pytest.mark.parametrize("bad", [2.0, 2.7, Fraction(1, 2), "1"], ids=repr)
 def test_partition_parts_must_be_integers(bad):
     message = re.escape(f"partition part {bad!r} is not an integer")
     with pytest.raises(ValueError, match=message):
         normalize_partition([bad, 1])
+    # A generator is read once: a second pass would find the bad part gone.
+    with pytest.raises(ValueError, match=message):
+        normalize_partition(x for x in (3, bad, 1))
     with pytest.raises(ValueError, match=message):
         classical_index("sl", (bad, 1))
 
@@ -239,14 +243,33 @@ def test_sl_branching_sums_the_two_squares(monkeypatch):
     # sl(V) = Sym^2 V + Lambda^2 V - 1: for five distinct part sizes, C(5, 2)
     # cross terms and 5 diagonal terms, and each square once a size.
     calls = Counter()
-    for name in ("clebsch_gordan", "sym2", "wedge2"):
+    for name in ("_cg_labels", "_sym2_labels", "_wedge2_labels"):
         def counted(*args, _name=name, _f=getattr(sl2, name)):
             calls[_name] += 1
             return _f(*args)
 
         monkeypatch.setattr(sl2, name, counted)
     branch_adjoint_multiplicities("sl", (5, 4, 3, 2, 1))
-    assert calls == {"clebsch_gordan": 15, "sym2": 5, "wedge2": 5}
+    assert calls == {"_cg_labels": 15, "_sym2_labels": 5, "_wedge2_labels": 5}
+
+
+def test_branching_records_label_progressions_without_expanding_them(monkeypatch):
+    cases = [
+        ("sl", (5, 4, 3, 2, 1)),
+        ("sl", (7, 7, 3, 1, 1)),
+        ("sp", (6, 4, 4, 3, 3)),
+        ("so", (5, 4, 4, 1, 1, 1)),
+    ]
+    expected = {case: pairwise_branch_adjoint(*case) for case in cases}
+
+    def refuse(*args):
+        raise AssertionError(f"a label tuple was expanded for {args}")
+
+    for name in ("clebsch_gordan", "sym2", "wedge2"):
+        monkeypatch.setattr(sl2, name, refuse)
+    for (kind, p), module in expected.items():
+        pairs = tuple(sorted(Counter(module).items(), reverse=True))
+        assert branch_adjoint_multiplicities(kind, p) == pairs, (kind, p)
 
 
 def test_adjoint_route_examples():
@@ -290,6 +313,54 @@ def test_grouped_branching_matches_pairwise_on_repeated_parts(kind, groups):
         parts += [a] * (m - m % 2 if a % 2 == paired else m)
     assume(parts)
     assert_grouped_branching_matches_pairwise(kind, tuple(parts))
+
+
+# Up to 30 distinct part sizes up to 200: labels up to 398, in both parities.
+@given(st.sampled_from(KINDS), st.sets(st.integers(1, 200), min_size=1, max_size=30))
+@example("sl", set(range(200, 50, -5)))
+@example("sp", set(range(200, 50, -5)))
+@example("so", set(range(200, 50, -5)))
+@settings(max_examples=60, deadline=None)
+def test_grouped_branching_matches_pairwise_on_wide_label_ranges(kind, sizes):
+    paired = {"sl": None, "sp": 1, "so": 0}[kind]
+    parts = tuple(a for a in sizes for _ in range(2 if a % 2 == paired else 1))
+    assert_grouped_branching_matches_pairwise(kind, parts)
+
+
+EDGE_SHAPES = [
+    (1,), (2,), (3,), (4,), (17,), (40,),  # a single part
+    (2, 2, 1, 1), (2, 2, 2, 2, 1, 1, 1, 1), (2,) * 6,  # parts of size 1 and 2
+    (1, 1), (1,) * 7, (3, 1, 1, 1), (5, 3, 1),  # in so, wedge2(0) is empty
+]
+
+
+@pytest.mark.parametrize(
+    "kind, parts",
+    [(kind, p) for kind in KINDS for p in EDGE_SHAPES if partition_is_admissible(kind, p)],
+    ids=str,
+)
+def test_grouped_branching_matches_pairwise_on_edge_shapes(kind, parts):
+    assert_grouped_branching_matches_pairwise(kind, parts)
+
+
+def test_minimal_orbit_branching_with_1998_trivial_parts():
+    # V = V_1 + k V_0.  sl: V (x) V - 1 = V_2 + 2k V_1 + k^2 V_0; sp: Sym^2 V =
+    # V_2 + k V_1 + C(k+1, 2) V_0; so on V = 2 V_1 + k V_0: Lambda^2 V =
+    # V_2 + 2k V_1 + (C(k, 2) + 3) V_0.  Checked against the pairwise oracle
+    # at k = 20, then read at k = 1998, where the oracle's square is too large.
+    def minimal(kind, k):
+        if kind == "sl":
+            return (2,) + (1,) * k, ((2, 1), (1, 2 * k), (0, k * k))
+        if kind == "sp":
+            return (2,) + (1,) * k, ((2, 1), (1, k), (0, comb(k + 1, 2)))
+        return (2, 2) + (1,) * k, ((2, 1), (1, 2 * k), (0, comb(k, 2) + 3))
+
+    for kind in KINDS:
+        parts, pairs = minimal(kind, 20)
+        assert_grouped_branching_matches_pairwise(kind, parts)
+        assert branch_adjoint_multiplicities(kind, parts) == pairs
+        parts, pairs = minimal(kind, 1998)
+        assert branch_adjoint_multiplicities(kind, parts) == pairs, kind
 
 
 def test_minimal_orbits_with_many_parts_have_index_one():
