@@ -1,10 +1,13 @@
 """Three families of binomial identities parameterised by partitions.
 
-Each identity states that the sl2-index computed on the defining module of
-sl/sp/so equals the index computed through the adjoint module of the same
-algebra, expanded explicitly with the Clebsch-Gordan rule and its symmetric
-and exterior-square variants.  The statements are formal in the parts, so
-the sweeps run over all partitions, not only the parity-admissible ones.
+Each identity states that the sl2-index of the defining module V of sl/sp/so
+(lhs) equals the index of the adjoint module, the sum of the squares S of V
+in sl2.ADJOINT_SQUARES, over its ratio to ind V.  With ind Sym^2 V =
+(n + 2) ind V and ind Lambda^2 V = (n - 2) ind V (n = dim V), that is
+rhs = sum_S (cross + diag_S) / sum_S (n +- 2), where cross is the explicit
+Clebsch-Gordan expansion of each pair of parts and diag_S the square S of
+each part.  The statements are formal in the parts, so the sweeps run over
+all partitions, not only the parity-admissible ones.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .orbits import partitions_of
-from .sl2 import KINDS, Partition, binom3, normalize_partition
+from .sl2 import ADJOINT_SQUARES, KINDS, Partition, binom3, normalize_partition
 
 FAMILIES = KINDS
 
@@ -25,42 +29,40 @@ def lhs(p: Partition) -> int:
 
 
 def _cross_terms(p: Partition) -> int:
-    # sum over unordered pairs i < j of the Clebsch-Gordan expansion
-    total = 0
-    for i, pi in enumerate(p):
-        for pj in p[i + 1 :]:
-            total += sum(binom3(pi + pj - 2 * k) for k in range(pj))
-    return total
+    # the Clebsch-Gordan expansion of each unordered pair of parts pi >= pj
+    return sum(binom3(pi + pj - 2 * k) for pi, pj in combinations(p, 2) for k in range(pj))
+
+
+def _rhs(family: str, p: Partition) -> Fraction:
+    """sum_S (cross + diag_S) / sum_S (n + 2s) over the squares S of the
+    family, s = 1 for Sym^2 and -1 for Lambda^2; the square S of a part k
+    adds C(2k - 1 + s - 4j, 3) for j = 0 .. k//2."""
+    if family not in ADJOINT_SQUARES:
+        raise ValueError(f"unknown kind {family!r}")
+    squares = ADJOINT_SQUARES[family]
+    p = normalize_partition(p)
+    denominator = sum(sum(p) + 2 * s for s in squares)
+    if denominator == 0:
+        raise ValueError("degenerate denominator: partitions of 2 are skipped for so")
+    diag = sum(
+        binom3(2 * k - 1 + s - 4 * j) for s in squares for k in p for j in range(k // 2 + 1)
+    )
+    return Fraction(len(squares) * _cross_terms(p) + diag, denominator)
 
 
 def rhs_sl(p: Partition) -> Fraction:
-    """Index through sl(V): cross terms twice plus the squares V_i (x) V_i, over 2 dim V."""
-    p = normalize_partition(p)
-    diag = sum(sum(binom3(2 * pi - 2 * k) for k in range(pi)) for pi in p)
-    return Fraction(2 * _cross_terms(p) + diag, 2 * sum(p))
+    """Index through sl(V) = Sym^2 V + Lambda^2 V - 1, over 2 dim V."""
+    return _rhs("sl", p)
 
 
 def rhs_sp(p: Partition) -> Fraction:
-    """Index through sp(V): cross terms plus symmetric squares over dim V + 2."""
-    p = normalize_partition(p)
-    diag = sum(
-        sum(binom3(2 * pi - 4 * k) for k in range((pi - 1) // 2 + 1)) for pi in p
-    )
-    return Fraction(_cross_terms(p) + diag, sum(p) + 2)
+    """Index through sp(V) = Sym^2 V, over dim V + 2."""
+    return _rhs("sp", p)
 
 
 def rhs_so(p: Partition) -> Fraction:
-    """Index through so(V): cross terms plus exterior squares over dim V - 2."""
-    p = normalize_partition(p)
-    if sum(p) == 2:
-        raise ValueError("degenerate denominator: partitions of 2 are skipped for so")
-    diag = sum(
-        sum(binom3(2 * pi + 2 - 4 * k) for k in range(1, pi // 2 + 1)) for pi in p
-    )
-    return Fraction(_cross_terms(p) + diag, sum(p) - 2)
-
-
-_RHS = {"sl": rhs_sl, "sp": rhs_sp, "so": rhs_so}
+    """Index through so(V) = Lambda^2 V, over dim V - 2."""
+    return _rhs("so", p)
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class IdentityInstance:
 
 def instance(family: str, p: Partition) -> IdentityInstance:
     p = normalize_partition(p)
-    return IdentityInstance(family, p, lhs(p), _RHS[family](p))
+    return IdentityInstance(family, p, lhs(p), _rhs(family, p))
 
 
 def sweep(family: str, max_n: int) -> list[IdentityInstance]:

@@ -12,13 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from operator import index, mul
+from operator import mul
 
 from .rootsystems import (
     EXCEPTIONAL,
     LieType,
     RootSystem,
-    _integer,
+    _integers,
     _require,
     build,
     classical_type,
@@ -33,11 +33,7 @@ class RepIndexReport:
 
 
 def _check_weight(rs: RootSystem, weight) -> tuple[int, ...]:
-    weight = tuple(weight)  # an iterator is read once, before either pass
-    try:
-        weight = tuple(map(index, weight))
-    except TypeError:  # _integer names the first coordinate that is not an integer
-        weight = tuple(_integer(w, "weight coordinate") for w in weight)
+    weight = tuple(_integers(weight, "weight coordinate"))
     if len(weight) != rs.rank:
         raise ValueError(
             f"weight has {len(weight)} coordinates, {rs.lie_type} has rank {rs.rank}"

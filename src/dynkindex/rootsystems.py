@@ -182,6 +182,14 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
+def _integers(values, what: str) -> list[int]:
+    values = tuple(values)  # an iterator is read once, before either pass
+    try:
+        return list(map(index, values))
+    except TypeError:  # _integer names the first item that is not an integer
+        return [_integer(x, what) for x in values]
+
+
 def _dynkin_tree(cartan):
     # The one walk of the Dynkin diagram, breadth-first from vertex 0: the
     # neighbours, parents (-1 at vertex 0), visiting order and children.  Then,

@@ -25,13 +25,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, compress, groupby, repeat
 from math import comb
-from operator import add, index, mul
+from operator import add, mul
 from types import MappingProxyType
 
 from . import reps
-from .rootsystems import LieType, RootSystem, _integer, _require, all_types, build, defining_module
+from .rootsystems import LieType, RootSystem, _integers, _require, all_types, build, defining_module
 
 KINDS = ("sl", "sp", "so")
+
+# The squares of V that sum to each kind's adjoint module, +1 for Sym^2 V and -1
+# for Lambda^2 V.  sl2-modules are self-dual, so sl(V) = V (x) V* less the
+# scalars is Sym^2 V + Lambda^2 V - 1.
+ADJOINT_SQUARES = MappingProxyType({"sl": (1, -1), "sp": (1,), "so": (-1,)})
 
 Partition = tuple[int, ...]
 Sl2Module = tuple[int, ...]
@@ -44,11 +49,8 @@ def binom3(m: int) -> int:
 
 
 def normalize_partition(parts) -> Partition:
-    values = tuple(parts)  # a generator is read once, before either pass
-    try:
-        p = sorted(map(index, values), reverse=True)
-    except TypeError:  # _integer names the first part that is not an integer
-        p = sorted((_integer(x, "partition part") for x in values), reverse=True)
+    p = _integers(parts, "partition part")
+    p.sort(reverse=True)
     if not p:
         raise ValueError("empty partition")
     if p[-1] < 1:
@@ -57,22 +59,17 @@ def normalize_partition(parts) -> Partition:
 
 
 def partition_is_admissible(kind: str, p: Partition) -> bool:
-    """Parity test for the Jordan types occurring in sl/sp/so.
+    """Parity test for the Jordan types occurring in sl/sp/so: the parts of
+    the kind's paired parity come in pairs (sp: odd parts; so: even parts;
+    sl: no condition).
 
-    sp: odd parts come in pairs (and the total is even); so: even parts come
-    in pairs; sl: no condition.
+    sp also needs an even total, but that follows: once the odd parts come
+    in pairs, their sum is even, and so is the sum of the even parts.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    if kind == "sl":
-        return True
-    if kind == "sp":
-        if sum(p) % 2:
-            return False
-        bad_parity = 1
-    else:
-        bad_parity = 0
-    return all(n % 2 == 0 for part, n in Counter(p).items() if part % 2 == bad_parity)
+    paired = {"sl": None, "sp": 1, "so": 0}[kind]  # None: no parts are paired
+    return paired is None or all(m % 2 == 0 for k, m in Counter(p).items() if k % 2 == paired)
 
 
 def _require_admissible(kind: str, p: Partition) -> None:
@@ -164,13 +161,12 @@ def branch_adjoint_multiplicities(kind: str, p: Partition) -> Sl2Multiset:
     """Restriction of sl/sp/so (on the module of Jordan type p) to the sl2,
     as (label, multiplicity) pairs with labels descending.
 
-    sp(V) is the symmetric square of V and so(V) the exterior square.  Every
-    sl2-module is self-dual, so sl(V) = V tensor V* is Sym^2 V + Lambda^2 V
-    less one trivial summand, and one loop serves all three kinds.  V is
-    grouped by part size.  Each square of V gives CG(a, b) m_a m_b times for
-    two distinct sizes a, b with multiplicities m_a, m_b, and, for one size a
-    with multiplicity m, CG(a, a) C(m, 2) times plus m copies of the square
-    of V_a itself.
+    The adjoint module is the sum of the squares of V that ADJOINT_SQUARES
+    lists for the kind (less one trivial summand for sl), so one loop serves
+    all three kinds.  V is grouped by part size.  Each square of V gives
+    CG(a, b) m_a m_b times for two distinct sizes a, b with multiplicities
+    m_a, m_b, and, for one size a with multiplicity m, CG(a, a) C(m, 2) times
+    plus m copies of the square of V_a itself.
 
     The labels of each such term form a progression, of step 2 for CG(a, b)
     and step 4 for a square, so a term is two updates of a difference array
@@ -185,11 +181,7 @@ def branch_adjoint_multiplicities(kind: str, p: Partition) -> Sl2Multiset:
     """
     p = normalize_partition(p)
     _require_admissible(kind, p)
-    squares = {
-        "sl": (_sym2_labels, _wedge2_labels),
-        "sp": (_sym2_labels,),
-        "so": (_wedge2_labels,),
-    }[kind]
+    squares = [_sym2_labels if s > 0 else _wedge2_labels for s in ADJOINT_SQUARES[kind]]
     counts = Counter(branch_vector_rep(p))
     sizes = sorted(counts, reverse=True)
     top = 2 * sizes[0]

@@ -1,10 +1,14 @@
 """The three identity families and their principal specializations."""
 
+import ast
+import re
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
+from dynkindex import identities
 from dynkindex.identities import instance, lhs, rhs_sl, rhs_so, rhs_sp, sweep
 from dynkindex.orbits import enumerate_orbits, partitions_of
 from dynkindex.sl2 import index_via_adjoint
@@ -87,6 +91,39 @@ def test_identities_agree_with_adjoint_route_on_admissible_partitions():
                 # to the kind factor (1 for sl/sp, 1/2 for so)
                 factor = Fraction(1, 2) if kind == "so" else Fraction(1)
                 assert factor * rhs[kind](p) == index_via_adjoint(kind, p), (kind, p)
+
+
+def test_unknown_family_is_a_value_error():
+    message = re.escape("unknown kind 'xx'")
+    with pytest.raises(ValueError, match=message):
+        instance("xx", (2, 1))
+    with pytest.raises(ValueError, match=message):
+        identities._rhs("xx", (2, 1))
+
+
+def test_identities_take_only_data_and_validation_from_sl2():
+    # The identities are a route of their own: they expand the binomials
+    # themselves and may not reach the adjoint builder's label ranges,
+    # branchings or module sums.
+    allowed = {"KINDS", "ADJOINT_SQUARES", "binom3", "normalize_partition", "Partition"}
+    forbidden = {
+        "_cg_labels", "_sym2_labels", "_wedge2_labels", "branch_adjoint",
+        "branch_adjoint_multiplicities", "module_index", "clebsch_gordan",
+        "sym2", "wedge2",
+    }
+    tree = ast.parse(Path(identities.__file__).read_text())
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any("sl2" in alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            assert "sl2" not in names  # no module handle: every name is listed
+            if (node.module or "").endswith("sl2"):
+                taken |= names
+    assert taken and taken <= allowed, taken - allowed
+    assert not taken & forbidden
+    assert not {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} & forbidden
 
 
 def test_instance_record():

@@ -41,7 +41,7 @@ from dynkindex.sl2 import (
     sym2,
     wedge2,
 )
-from dynkindex.orbits import enumerate_orbits
+from dynkindex.orbits import enumerate_orbits, partitions_of
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -163,6 +163,18 @@ def test_partition_parts_must_be_integers(bad):
         classical_index("sl", (bad, 1))
 
 
+def textbook_admissible(kind, p):
+    """The parity conditions as usually stated: for sp the total is even and
+    every odd part has even multiplicity, for so every even part has even
+    multiplicity, for sl there is no condition."""
+    mult = Counter(p)
+    if kind == "sp":
+        return sum(p) % 2 == 0 and all(m % 2 == 0 for k, m in mult.items() if k % 2)
+    if kind == "so":
+        return all(m % 2 == 0 for k, m in mult.items() if k % 2 == 0)
+    return True
+
+
 def test_admissibility():
     assert partition_is_admissible("sp", (4, 2))
     assert not partition_is_admissible("sp", (3, 2, 1))
@@ -170,6 +182,20 @@ def test_admissibility():
     assert partition_is_admissible("so", (2, 2, 1))
     assert not partition_is_admissible("so", (4, 1))
     assert partition_is_admissible("sl", (3, 2, 1))
+    # Every partition of n <= 16 against the textbook rule, whose sp
+    # even-total condition the implementation does not test: pairing the
+    # odd parts already makes the total even.
+    checked = Counter()
+    for n in range(1, 17):
+        for p in partitions_of(n):
+            for kind in KINDS:
+                expected = textbook_admissible(kind, p)
+                assert partition_is_admissible(kind, p) == expected, (kind, p)
+                checked[kind] += expected
+    assert checked["sl"] == sum(1 for n in range(1, 17) for _ in partitions_of(n))
+    assert 0 < checked["sp"] < checked["so"] < checked["sl"]
+    with pytest.raises(ValueError, match=re.escape("unknown kind 'xx'")):
+        partition_is_admissible("xx", (1,))
 
 
 def test_branch_vector_rep():
