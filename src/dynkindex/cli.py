@@ -22,7 +22,7 @@ from . import orbits, reps, sl2
 from .rootsystems import EXCEPTIONAL, LieType, build, classical_type, defining_module
 from .verify import BOUNDS, CHECKS, VerifyConfig, run_checks
 
-_MATRIX_RE = re.compile(r"^(sl|sp|so)[_ ]?([0-9]+)$", re.IGNORECASE)
+_MATRIX_RE = re.compile(rf"^({'|'.join(sl2.KINDS)})[_ ]?([0-9]+)$", re.IGNORECASE)
 
 
 def parse_algebra(label: str) -> tuple[LieType, str | None, int | None]:

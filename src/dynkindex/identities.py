@@ -2,8 +2,8 @@
 
 Each identity states that the sl2-index of the defining module V of sl/sp/so
 (lhs) equals the index of the adjoint module, the sum of the squares S of V
-in sl2.ADJOINT_SQUARES, over its ratio to ind V.  With ind Sym^2 V =
-(n + 2) ind V and ind Lambda^2 V = (n - 2) ind V (n = dim V), that is
+in rootsystems.ClassicalKind.squares, over its ratio to ind V.  With ind
+Sym^2 V = (n + 2) ind V and ind Lambda^2 V = (n - 2) ind V (n = dim V), that is
 rhs = sum_S (cross + diag_S) / sum_S (n +- 2), where cross is the explicit
 Clebsch-Gordan expansion of each pair of parts and diag_S the square S of
 each part.  The statements are formal in the parts, so the sweeps run over
@@ -18,9 +18,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .orbits import partitions_of
-from .sl2 import ADJOINT_SQUARES, KINDS, Partition, binom3, normalize_partition
-
-FAMILIES = KINDS
+from .rootsystems import classical_kind
+from .sl2 import Partition, binom3, normalize_partition
 
 
 def lhs(p: Partition) -> int:
@@ -37,9 +36,7 @@ def _rhs(family: str, p: Partition) -> Fraction:
     """sum_S (cross + diag_S) / sum_S (n + 2s) over the squares S of the
     family, s = 1 for Sym^2 and -1 for Lambda^2; the square S of a part k
     adds C(2k - 1 + s - 4j, 3) for j = 0 .. k//2."""
-    if family not in ADJOINT_SQUARES:
-        raise ValueError(f"unknown kind {family!r}")
-    squares = ADJOINT_SQUARES[family]
+    squares = classical_kind(family).squares
     p = normalize_partition(p)
     denominator = sum(sum(p) + 2 * s for s in squares)
     if denominator == 0:
@@ -85,18 +82,16 @@ def instance(family: str, p: Partition) -> IdentityInstance:
 def sweep(family: str, max_n: int) -> list[IdentityInstance]:
     """One instance per partition of every n up to max_n.
 
-    Partitions of 2 are skipped for so (zero denominator); ordering is by n,
-    then reverse-lexicographic, so output is deterministic.
+    The n whose denominator sum_S (n + 2s) is 0 are skipped (so at n = 2);
+    ordering is by n, then reverse-lexicographic, so output is deterministic.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown identity family {family!r}")
-    out = []
-    for n in range(1, max_n + 1):
-        if family == "so" and n == 2:
-            continue
-        for p in partitions_of(n):
-            out.append(instance(family, p))
-    return out
+    squares = classical_kind(family).squares
+    return [
+        instance(family, p)
+        for n in range(1, max_n + 1)
+        if sum(n + 2 * s for s in squares) != 0
+        for p in partitions_of(n)
+    ]
 
 
 def to_json_lines(instances) -> str:

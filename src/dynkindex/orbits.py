@@ -33,8 +33,8 @@ def enumerate_orbits(kind: str, n: int) -> list[Partition]:
     """Admissible partitions of n for the given classical kind."""
     if n < 1:
         raise ValueError("module dimension must be positive")
-    if kind == "sp" and n % 2:
-        raise ValueError("sp requires an even module dimension")
+    if not partition_is_admissible(kind, (1,) * n):  # the zero orbit; sp pairs its 1s
+        raise ValueError(f"{kind} requires an even module dimension")
     return [p for p in partitions_of(n) if partition_is_admissible(kind, p)]
 
 

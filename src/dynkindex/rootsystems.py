@@ -76,41 +76,58 @@ class LieType:
         return f"{self.family}{self.rank}"
 
 
-def classical_type(kind: str, dim: int) -> LieType:
-    """Simple type of the matrix algebra sl/sp/so of the given size.
+@dataclass(frozen=True)
+class ClassicalKind:
+    """The facts of one classical kind sl, sp or so of V that the routes read."""
 
-    so3 and so4 are rejected: so4 is not simple and so3 has no standard
-    presentation here (use sl2 / A1 instead).
-    """
-    if kind == "sl":
-        if dim < 2:
-            raise ValueError("sl requires dimension >= 2")
-        return LieType("A", dim - 1)
-    if kind == "sp":
-        if dim < 2 or dim % 2:
-            raise ValueError("sp requires even dimension >= 2")
-        if dim == 2:
-            return LieType("A", 1)
-        return LieType("C", dim // 2)
-    if kind == "so":
-        if dim < 5:
-            raise ValueError("so requires dimension >= 5 (so3/so4 are not supported)")
-        if dim % 2:
-            return LieType("B", (dim - 1) // 2)
-        return LieType("D", dim // 2)
-    raise ValueError(f"unknown classical kind {kind!r}, expected sl, sp or so")
+    paired: tuple[int, ...]  # the parities of the parts that pair up in a Jordan type
+    squares: tuple[int, ...]  # squares of V summing to the adjoint: +1 Sym^2, -1 Lambda^2
+    vector_index: int  # the Dynkin index of V
+    families: tuple[tuple[str, int, int], ...]  # (family, a, b) with dim V = a * rank + b
+
+
+# sl(V) = V (x) V* less the scalars is Sym^2 V + Lambda^2 V - 1 (V = V* over sl2).
+_KIND_TABLE = {
+    "sl": ClassicalKind((), (1, -1), 1, (("A", 1, 1),)),
+    "sp": ClassicalKind((1,), (1,), 1, (("C", 2, 0),)),
+    "so": ClassicalKind((0,), (-1,), 2, (("B", 2, 1), ("D", 2, 0))),
+}
+KINDS = tuple(_KIND_TABLE)
+
+
+def classical_kind(name: str) -> ClassicalKind:
+    """The record of a classical kind; the one check of a kind name."""
+    if name not in _KIND_TABLE:
+        raise ValueError(f"unknown kind {name!r}, expected sl, sp or so")
+    return _KIND_TABLE[name]
+
+
+def classical_type(kind: str, dim: int) -> LieType:
+    """Simple type of the matrix algebra sl/sp/so of the given size; a rank
+    below its family's smallest is refused (so4 is not simple; for so3 use
+    sl2 = A1), and sp2 is A1."""
+    record = classical_kind(kind)
+    if kind == "sp" and dim == 2:
+        return LieType("A", 1)  # sp2 = sl2
+    for family, a, b in record.families:
+        rank, rest = divmod(dim - b, a)
+        if not rest and rank >= _MIN_RANK[family]:
+            return LieType(family, rank)
+    forms = " or ".join(
+        f"{f}_n (n >= {_MIN_RANK[f]}) at dim {a if a > 1 else ''}n{f'+{b}' if b else ''}"
+        for f, a, b in record.families
+    )
+    raise ValueError(f"no simple type {kind}{dim}: {kind} is {forms}")
 
 
 def defining_module(lt: LieType) -> tuple[str, int] | None:
     """Classical kind and size of the defining module of a classical type,
     the inverse of classical_type; None for the exceptional types."""
-    n = lt.rank
-    return {
-        "A": ("sl", n + 1),
-        "B": ("so", 2 * n + 1),
-        "C": ("sp", 2 * n),
-        "D": ("so", 2 * n),
-    }.get(lt.family)
+    for kind, record in _KIND_TABLE.items():
+        for family, a, b in record.families:
+            if family == lt.family:
+                return kind, a * lt.rank + b
+    return None
 
 
 def all_types(max_rank: int):

@@ -29,14 +29,8 @@ from operator import add, mul
 from types import MappingProxyType
 
 from . import reps
-from .rootsystems import LieType, RootSystem, _integers, _require, all_types, build, defining_module
-
-KINDS = ("sl", "sp", "so")
-
-# The squares of V that sum to each kind's adjoint module, +1 for Sym^2 V and -1
-# for Lambda^2 V.  sl2-modules are self-dual, so sl(V) = V (x) V* less the
-# scalars is Sym^2 V + Lambda^2 V - 1.
-ADJOINT_SQUARES = MappingProxyType({"sl": (1, -1), "sp": (1,), "so": (-1,)})
+from .rootsystems import LieType, RootSystem, _integers, _require, all_types, build
+from .rootsystems import KINDS, classical_kind, defining_module  # KINDS is re-exported
 
 Partition = tuple[int, ...]
 Sl2Module = tuple[int, ...]
@@ -60,16 +54,10 @@ def normalize_partition(parts) -> Partition:
 
 def partition_is_admissible(kind: str, p: Partition) -> bool:
     """Parity test for the Jordan types occurring in sl/sp/so: the parts of
-    the kind's paired parity come in pairs (sp: odd parts; so: even parts;
-    sl: no condition).
-
-    sp also needs an even total, but that follows: once the odd parts come
-    in pairs, their sum is even, and so is the sum of the even parts.
-    """
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    paired = {"sl": None, "sp": 1, "so": 0}[kind]  # None: no parts are paired
-    return paired is None or all(m % 2 == 0 for k, m in Counter(p).items() if k % 2 == paired)
+    each of the kind's paired parities come in pairs.  sp's even total then
+    follows: once its odd parts come in pairs, the total is even."""
+    paired = classical_kind(kind).paired
+    return not paired or all(m % 2 == 0 for k, m in Counter(p).items() if k % 2 in paired)
 
 
 def _require_admissible(kind: str, p: Partition) -> None:
@@ -146,27 +134,27 @@ def wedge2(m: int) -> Sl2Module:
 def classical_index(kind: str, p: Partition) -> Fraction:
     """Index of the orbit's sl2 inside sl/sp/so, from the Jordan type.
 
-    sl and sp share the value sum C(part+1, 3); for so it is halved.  Valid
-    orthogonal partitions always give an integer; the Fraction is returned
-    unreduced to ints so sweeps can flag any half-integer occurrence.
+    The index of V under the sl2, sum C(part+1, 3), over that of V in the
+    kind.  Valid orthogonal partitions always give an integer; the Fraction
+    is returned unreduced so sweeps can flag any half-integer occurrence.
     """
     p = normalize_partition(p)
     _require_nonzero(p)
     _require_admissible(kind, p)
     total = sum(binom3(part + 1) for part in p)
-    return Fraction(total, 2 if kind == "so" else 1)
+    return Fraction(total, classical_kind(kind).vector_index)
 
 
 def branch_adjoint_multiplicities(kind: str, p: Partition) -> Sl2Multiset:
     """Restriction of sl/sp/so (on the module of Jordan type p) to the sl2,
     as (label, multiplicity) pairs with labels descending.
 
-    The adjoint module is the sum of the squares of V that ADJOINT_SQUARES
-    lists for the kind (less one trivial summand for sl), so one loop serves
-    all three kinds.  V is grouped by part size.  Each square of V gives
-    CG(a, b) m_a m_b times for two distinct sizes a, b with multiplicities
-    m_a, m_b, and, for one size a with multiplicity m, CG(a, a) C(m, 2) times
-    plus m copies of the square of V_a itself.
+    The adjoint module is the sum of the squares of V in the kind's record
+    (less one trivial summand for sl), so one loop serves all three kinds.
+    V is grouped by part size.  Each square of V gives CG(a, b) m_a m_b times
+    for two distinct sizes a, b with multiplicities m_a, m_b, and, for one
+    size a with multiplicity m, CG(a, a) C(m, 2) times plus m copies of the
+    square of V_a itself.
 
     The labels of each such term form a progression, of step 2 for CG(a, b)
     and step 4 for a square, so a term is two updates of a difference array
@@ -181,7 +169,7 @@ def branch_adjoint_multiplicities(kind: str, p: Partition) -> Sl2Multiset:
     """
     p = normalize_partition(p)
     _require_admissible(kind, p)
-    squares = [_sym2_labels if s > 0 else _wedge2_labels for s in ADJOINT_SQUARES[kind]]
+    squares = [_sym2_labels if s > 0 else _wedge2_labels for s in classical_kind(kind).squares]
     counts = Counter(branch_vector_rep(p))
     sizes = sorted(counts, reverse=True)
     top = 2 * sizes[0]
@@ -229,16 +217,15 @@ def index_via_adjoint(kind: str, p: Partition) -> Fraction:
     """
     p = normalize_partition(p)
     _require_nonzero(p)
+    module = branch_adjoint(kind, p)
     n = sum(p)
     if kind == "sl":
         dual_coxeter = n
     elif kind == "sp":
         dual_coxeter = n // 2 + 1
     else:
-        dual_coxeter = n - 2
-        if dual_coxeter <= 0:
-            raise ValueError("so requires module dimension at least 3")
-    return Fraction(module_index(branch_adjoint(kind, p)), 2 * dual_coxeter)
+        dual_coxeter = n - 2  # positive: so has no nonzero orbit at n <= 2
+    return Fraction(module_index(module), 2 * dual_coxeter)
 
 
 def index_via_simplest_rep(lt: LieType, p: Partition) -> Fraction:

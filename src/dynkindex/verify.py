@@ -21,7 +21,7 @@ from functools import wraps
 from itertools import product
 
 from . import identities, orbits, reps, sl2
-from .rootsystems import LieType, all_types, build
+from .rootsystems import LieType, all_types, build, classical_kind
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,10 @@ def _check(name: str, counted: str) -> Callable[[Sweep], Check]:
 
 
 def _orbit_sizes(max_n: int) -> Iterator[tuple[str, int]]:
-    """(kind, n) for every classical kind and 2 <= n <= max_n; n is even for sp."""
-    for kind in sl2.KINDS:
-        for n in range(2, max_n + 1):
-            if kind != "sp" or n % 2 == 0:
-                yield kind, n
+    """(kind, n) for each kind and 2 <= n <= max_n at which 1^n is admissible."""
+    for kind, n in product(sl2.KINDS, range(2, max_n + 1)):
+        if sl2.partition_is_admissible(kind, (1,) * n):
+            yield kind, n
 
 
 @_check("structure", "root systems checked")
@@ -156,7 +155,7 @@ def check_principal(config: VerifyConfig) -> Iterator[list[str]]:
 @_check("identities", "instances checked")
 def check_identities(config: VerifyConfig) -> Iterator[list[str]]:
     """The three identity families over all partitions up to the bound."""
-    for family in identities.FAMILIES:
+    for family in sl2.KINDS:
         for inst in identities.sweep(family, config.max_identity_n):
             yield [] if inst.holds else [f"{family} {inst.partition}: {inst.lhs} != {inst.rhs}"]
 
@@ -187,14 +186,12 @@ def check_integrality(config: VerifyConfig) -> Iterator[list[str]]:
 
 @_check("minimal-orbit", "minimal orbits checked")
 def check_minimal_orbit(config: VerifyConfig) -> Iterator[list[str]]:
-    """The minimal orbit has index exactly 1 in every classical algebra."""
-    for n in range(2, 21):
-        minimal = [("sl", (2,) + (1,) * (n - 2))]
-        if n % 2 == 0:
-            minimal.append(("sp", (2,) + (1,) * (n - 2)))
-        if n >= 4:
-            minimal.append(("so", (2, 2) + (1,) * (n - 4)))
-        for kind, p in minimal:
+    """The minimal orbit, 2 1^(n-2), or 2^2 1^(n-4) where 2s pair, has index
+    exactly 1 in every classical algebra in which it is admissible."""
+    for n, kind in product(range(2, 21), sl2.KINDS):
+        p = (2, 2) if 0 in classical_kind(kind).paired else (2,)  # a paired 2 comes twice
+        p += (1,) * (n - sum(p))
+        if sum(p) == n and sl2.partition_is_admissible(kind, p):
             yield [] if sl2.classical_index(kind, p) == 1 else [f"{kind} {p}"]
 
 

@@ -34,3 +34,41 @@ def test_no_assert_statements_in_the_library():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# The only top-level statements of the library that may name a classical kind
+# by a literal: the kind table, classical_type's sp2 = sl2 line, the target
+# kinds of the exceptional algebras (data), and the facts kept on purpose
+# beside the table because each is a route or an independent check of its own.
+KIND_LITERAL_SITES = {
+    ("rootsystems", "_KIND_TABLE"),
+    ("rootsystems", "classical_type"),
+    ("reps", "_SIMPLEST"),
+    ("sl2", "branch_adjoint_multiplicities"),
+    ("sl2", "index_via_adjoint"),
+    ("orbits", "build_poset"),
+    ("identities", "rhs_sl"),
+    ("identities", "rhs_sp"),
+    ("identities", "rhs_so"),
+}
+
+
+def _site(statement: ast.stmt) -> str:
+    if isinstance(statement, ast.Assign):
+        return ast.unparse(statement.targets[0])
+    return getattr(statement, "name", f"line {statement.lineno}")
+
+
+def test_kind_names_are_literals_only_in_the_table_and_the_route_facts():
+    # Both ways: a new literal elsewhere fails, and so does a listed site that
+    # no longer holds one, so the list cannot go stale.
+    found = {
+        (path.stem, _site(statement))
+        for path in sorted(SRC.glob("*.py"))
+        for statement in ast.parse(path.read_text(), str(path)).body
+        if any(
+            isinstance(node, ast.Constant) and node.value in ("sl", "sp", "so")
+            for node in ast.walk(statement)
+        )
+    }
+    assert found == KIND_LITERAL_SITES

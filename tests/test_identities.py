@@ -1,7 +1,6 @@
 """The three identity families and their principal specializations."""
 
 import ast
-import re
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -10,8 +9,14 @@ import pytest
 
 from dynkindex import identities
 from dynkindex.identities import instance, lhs, rhs_sl, rhs_so, rhs_sp, sweep
-from dynkindex.orbits import enumerate_orbits, partitions_of
-from dynkindex.sl2 import index_via_adjoint
+from dynkindex.orbits import build_poset, enumerate_orbits, partitions_of
+from dynkindex.rootsystems import classical_type
+from dynkindex.sl2 import (
+    branch_adjoint,
+    classical_index,
+    index_via_adjoint,
+    partition_is_admissible,
+)
 
 
 def c3(m):
@@ -94,18 +99,32 @@ def test_identities_agree_with_adjoint_route_on_admissible_partitions():
 
 
 def test_unknown_family_is_a_value_error():
-    message = re.escape("unknown kind 'xx'")
-    with pytest.raises(ValueError, match=message):
-        instance("xx", (2, 1))
-    with pytest.raises(ValueError, match=message):
-        identities._rhs("xx", (2, 1))
+    # Every entry point that takes a kind refuses an unknown one with the
+    # same full message, whatever its other arguments.
+    message = "unknown kind 'xx', expected sl, sp or so"
+    calls = {
+        "partition_is_admissible": lambda: partition_is_admissible("xx", (2, 1)),
+        "classical_index": lambda: classical_index("xx", (2, 1)),
+        "branch_adjoint": lambda: branch_adjoint("xx", (2, 1)),
+        "index_via_adjoint": lambda: index_via_adjoint("xx", (2,)),
+        "classical_type": lambda: classical_type("xx", 5),
+        "instance": lambda: instance("xx", (2, 1)),
+        "_rhs": lambda: identities._rhs("xx", (2, 1)),
+        "sweep": lambda: sweep("xx", 0),
+        "enumerate_orbits": lambda: enumerate_orbits("xx", 4),
+        "build_poset": lambda: build_poset("xx", 4),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == message, name
 
 
 def test_identities_take_only_data_and_validation_from_sl2():
     # The identities are a route of their own: they expand the binomials
     # themselves and may not reach the adjoint builder's label ranges,
     # branchings or module sums.
-    allowed = {"KINDS", "ADJOINT_SQUARES", "binom3", "normalize_partition", "Partition"}
+    allowed = {"KINDS", "binom3", "normalize_partition", "Partition"}
     forbidden = {
         "_cg_labels", "_sym2_labels", "_wedge2_labels", "branch_adjoint",
         "branch_adjoint_multiplicities", "module_index", "clebsch_gordan",

@@ -1,14 +1,18 @@
 """Root system construction and its exact invariants."""
 
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 
 import pytest
 
+import dynkindex
 from dynkindex.rootsystems import (
     EXCEPTIONAL,
+    KINDS,
     LieType,
     all_types,
     build,
+    classical_kind,
     classical_type,
     defining_module,
 )
@@ -100,6 +104,23 @@ def test_type_parsing():
         LieType.parse("")
 
 
+def textbook_classical_type(kind, dim):
+    """The usual names of the simple matrix algebras, None where there is
+    none: sl_n is A_{n-1}, sp_2n is C_n (and sp2 = sl2 = A1), so_2n+1 is B_n
+    and so_2n is D_n, each from its family's smallest rank."""
+    if kind == "sl" and dim >= 2:
+        return LieType("A", dim - 1)
+    if kind == "sp" and dim == 2:
+        return LieType("A", 1)
+    if kind == "sp" and dim >= 4 and dim % 2 == 0:
+        return LieType("C", dim // 2)
+    if kind == "so" and dim >= 5 and dim % 2:
+        return LieType("B", dim // 2)
+    if kind == "so" and dim >= 6 and dim % 2 == 0:
+        return LieType("D", dim // 2)
+    return None
+
+
 def test_classical_type_mapping():
     assert classical_type("sl", 8) == LieType("A", 7)
     assert classical_type("sp", 6) == LieType("C", 3)
@@ -107,9 +128,31 @@ def test_classical_type_mapping():
     assert classical_type("so", 13) == LieType("B", 6)
     assert classical_type("so", 8) == LieType("D", 4)
     assert classical_type("so", 6) == LieType("D", 3)
-    for kind, dim in [("so", 3), ("so", 4), ("sl", 1), ("sp", 5), ("xx", 5)]:
-        with pytest.raises(ValueError):
-            classical_type(kind, dim)
+    accepted = 0
+    for kind in KINDS + ("xx",):
+        for dim in range(-1, 65):
+            expected = textbook_classical_type(kind, dim)
+            if expected is None:
+                with pytest.raises(ValueError):
+                    classical_type(kind, dim)
+                continue
+            accepted += 1
+            assert classical_type(kind, dim) == expected, (kind, dim)
+            if (kind, dim) != ("sp", 2):  # sp2 is A1, whose defining module is sl2
+                assert defining_module(expected) == (kind, dim)
+    assert accepted == 63 + 32 + 30 + 30  # sl; sp with sp2; so odd; so even
+
+
+def test_classical_kind_records_are_frozen_tuples():
+    for kind in KINDS:
+        record = classical_kind(kind)
+        for field in fields(record):
+            value = getattr(record, field.name)
+            assert isinstance(value, (tuple, int)), field.name
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, field.name, value)
+    # The record and its validator are internal: no exported name is added.
+    assert not {"ClassicalKind", "classical_kind"} & set(dynkindex.__all__)
 
 
 def test_defining_module_inverts_classical_type():
