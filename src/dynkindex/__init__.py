@@ -6,7 +6,7 @@ by several independent routes, plus the supporting root-system, orbit-poset
 and identity machinery.  Everything is exact: integers and Fractions only.
 """
 
-from .identities import IdentityInstance, instance, lhs, rhs_sl, rhs_so, rhs_sp, sweep
+from .identities import IdentityInstance, instance, lhs, sweep
 from .orbits import (
     OrbitPoset,
     build_poset,
@@ -19,10 +19,8 @@ from .orbits import (
 )
 from .reps import (
     RepIndexReport,
-    adjoint_index,
     dynkin_index,
     embedding_index,
-    index_chain_rule_holds,
     simplest_embedding_index,
     weyl_dimension,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "Root",
     "RootSystem",
     "VerifyConfig",
-    "adjoint_index",
     "branch_adjoint",
     "branch_vector_rep",
     "build",
@@ -73,7 +70,6 @@ __all__ = [
     "dynkin_index",
     "embedding_index",
     "enumerate_orbits",
-    "index_chain_rule_holds",
     "index_via_adjoint",
     "index_via_simplest_rep",
     "instance",
@@ -87,9 +83,6 @@ __all__ = [
     "poset_dot",
     "principal_index",
     "principal_minus_subregular",
-    "rhs_sl",
-    "rhs_so",
-    "rhs_sp",
     "run_checks",
     "simplest_embedding_index",
     "subregular_module",

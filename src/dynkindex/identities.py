@@ -47,21 +47,6 @@ def _rhs(family: str, p: Partition) -> Fraction:
     return Fraction(len(squares) * _cross_terms(p) + diag, denominator)
 
 
-def rhs_sl(p: Partition) -> Fraction:
-    """Index through sl(V) = Sym^2 V + Lambda^2 V - 1, over 2 dim V."""
-    return _rhs("sl", p)
-
-
-def rhs_sp(p: Partition) -> Fraction:
-    """Index through sp(V) = Sym^2 V, over dim V + 2."""
-    return _rhs("sp", p)
-
-
-def rhs_so(p: Partition) -> Fraction:
-    """Index through so(V) = Lambda^2 V, over dim V - 2."""
-    return _rhs("so", p)
-
-
 @dataclass(frozen=True)
 class IdentityInstance:
     family: str

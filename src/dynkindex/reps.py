@@ -15,7 +15,6 @@ from math import prod
 from operator import mul
 
 from .rootsystems import (
-    EXCEPTIONAL,
     LieType,
     RootSystem,
     _integers,
@@ -81,11 +80,6 @@ def dynkin_index(rs: RootSystem, weight) -> RepIndexReport:
     return RepIndexReport(dim, value, value.denominator == 1)
 
 
-def adjoint_index(rs: RootSystem) -> int:
-    """Index of the adjoint module: twice the dual Coxeter number."""
-    return 2 * rs.dual_coxeter_number()
-
-
 def embedding_index(ind_sub: Fraction, ind_ambient: Fraction) -> Fraction:
     """Index of a subalgebra from the two indices of one test module.
 
@@ -96,24 +90,6 @@ def embedding_index(ind_sub: Fraction, ind_ambient: Fraction) -> Fraction:
     if ind_ambient == 0:
         raise ValueError("ambient index is zero: the test module is trivial")
     return Fraction(ind_sub) / ind_ambient
-
-
-def index_chain_rule_holds(
-    rs_mid: RootSystem, ind_sub_mid, ind_mid_big, ind_sub_big
-) -> bool:
-    """Check ind(s,M) = ind(s,g) * ind(g,M) / (2 h*(g)) for a chain s < g.
-
-    Here rs_mid is the root system of the intermediate algebra g, the second
-    and third arguments are the indices of g as an s-module and of M as a
-    g-module, and the last is the index of M as an s-module.
-    """
-    lhs = Fraction(ind_sub_big)
-    rhs = (
-        Fraction(ind_sub_mid)
-        * Fraction(ind_mid_big)
-        / (2 * rs_mid.dual_coxeter_number())
-    )
-    return lhs == rhs
 
 
 # Smallest faithful representations of the exceptional algebras, as
@@ -155,7 +131,3 @@ def simplest_embedding_index(lt: LieType) -> int:
     _require(value == expected, "{} embedding index {}, expected {}", lt, value, expected)
     return int(value)
 
-
-def exceptional_simplest_indices() -> dict[str, int]:
-    """All five recomputed exceptional embedding indices."""
-    return {key: simplest_embedding_index(LieType.parse(key)) for key in EXCEPTIONAL}

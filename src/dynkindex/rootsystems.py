@@ -408,10 +408,7 @@ class RootSystem:
         self._dual_coxeter = 1 + twice_rho_theta // (2 * scale)
         # A root's height is its coordinate sum, so the height totals are the
         # sums of the coordinate totals.
-        if self.r == 1:
-            self._height_sums = (0, sum(total))
-        else:
-            self._height_sums = (sum(long_total), sum(short_total))
+        self._height_sums = (sum(long_total), sum(short_total))
 
         self.rho = tuple(Fraction(t, 2) for t in total)
         # Coroot half-sum: each root contributes its coordinates divided by
@@ -506,12 +503,10 @@ class RootSystem:
         return self._exponents
 
     def height_sums(self) -> tuple[int, int]:
-        """Height totals over long and short positive roots.
-
-        In the simply-laced case every root is reported under the short sum,
-        matching the convention that makes the r-weighted combination equal
-        twice the squared length of the coroot half-sum.  Computed once at
-        construction.
+        """Height totals over the long and the short positive roots, split
+        by ``Root.is_long``, so a simply-laced type reads (total, 0).  The
+        combination long + r * short is twice the squared length of the
+        coroot half-sum.  Computed once at construction.
         """
         return self._height_sums
 

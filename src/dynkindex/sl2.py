@@ -135,8 +135,8 @@ def classical_index(kind: str, p: Partition) -> Fraction:
     """Index of the orbit's sl2 inside sl/sp/so, from the Jordan type.
 
     The index of V under the sl2, sum C(part+1, 3), over that of V in the
-    kind.  Valid orthogonal partitions always give an integer; the Fraction
-    is returned unreduced so sweeps can flag any half-integer occurrence.
+    kind.  Valid orthogonal partitions always give an integer; the result
+    is a Fraction, so a half-integer would show.
     """
     p = normalize_partition(p)
     _require_nonzero(p)

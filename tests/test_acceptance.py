@@ -17,8 +17,8 @@ from dynkindex.orbits import (
     enumerate_orbits,
     monotonicity_holds,
 )
-from dynkindex.reps import dynkin_index, exceptional_simplest_indices
-from dynkindex.rootsystems import LieType, build
+from dynkindex.reps import dynkin_index, simplest_embedding_index
+from dynkindex.rootsystems import EXCEPTIONAL, LieType, build
 from dynkindex.sl2 import (
     ab_closed_form,
     classical_index,
@@ -90,7 +90,7 @@ def test_criterion_1_summary_table():
 
 
 def test_criterion_2_exceptional_embedding_indices():
-    assert exceptional_simplest_indices() == {
+    assert {k: simplest_embedding_index(LieType.parse(k)) for k in EXCEPTIONAL} == {
         "E6": 6, "E7": 12, "E8": 30, "F4": 3, "G2": 1,
     }
     _report(2, "smallest-module embedding indices recomputed for E6..G2")

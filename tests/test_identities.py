@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from dynkindex import identities
-from dynkindex.identities import instance, lhs, rhs_sl, rhs_so, rhs_sp, sweep
+from dynkindex.identities import instance, lhs, sweep
 from dynkindex.orbits import build_poset, enumerate_orbits, partitions_of
 from dynkindex.rootsystems import classical_type
 from dynkindex.sl2 import (
@@ -30,23 +30,23 @@ def test_lhs():
 
 
 def test_rhs_sl_examples():
-    assert rhs_sl((4,)) == Fraction(c3(8) + c3(6) + c3(4) + c3(2), 8) == 10
-    assert rhs_sl((1,)) == 0
-    assert rhs_sl((2, 2)) == 2
+    assert instance("sl", (4,)).rhs == Fraction(c3(8) + c3(6) + c3(4) + c3(2), 8) == 10
+    assert instance("sl", (1,)).rhs == 0
+    assert instance("sl", (2, 2)).rhs == 2
 
 
 def test_rhs_sp_examples():
     # single-row case reduces to the even-part principal specialization
-    assert rhs_sp((4,)) == Fraction(c3(8) + c3(4), 6) == 10
-    assert rhs_sp((1, 1)) == 0
+    assert instance("sp", (4,)).rhs == Fraction(c3(8) + c3(4), 6) == 10
+    assert instance("sp", (1, 1)).rhs == 0
 
 
 def test_rhs_so_examples():
-    assert rhs_so((5, 1)) == lhs((5, 1)) == c3(6)
+    assert instance("so", (5, 1)).rhs == lhs((5, 1)) == c3(6)
     with pytest.raises(ValueError):
-        rhs_so((2,))
+        instance("so", (2,))
     with pytest.raises(ValueError):
-        rhs_so((1, 1))
+        instance("so", (1, 1))
 
 
 def test_principal_specializations():
@@ -84,7 +84,6 @@ def test_sweep_is_deterministic():
 
 
 def test_identities_agree_with_adjoint_route_on_admissible_partitions():
-    rhs = {"sl": rhs_sl, "sp": rhs_sp, "so": rhs_so}
     for kind in ("sl", "sp", "so"):
         for n in range(3, 11):
             if kind == "sp" and n % 2:
@@ -95,7 +94,7 @@ def test_identities_agree_with_adjoint_route_on_admissible_partitions():
                 # the expanded right side equals the adjoint-route value up
                 # to the kind factor (1 for sl/sp, 1/2 for so)
                 factor = Fraction(1, 2) if kind == "so" else Fraction(1)
-                assert factor * rhs[kind](p) == index_via_adjoint(kind, p), (kind, p)
+                assert factor * instance(kind, p).rhs == index_via_adjoint(kind, p), (kind, p)
 
 
 def test_unknown_family_is_a_value_error():

@@ -318,8 +318,7 @@ def test_height_sums_match_per_root_sums(lt):
     rs = build(lt)
     long_sum = sum(r.height for r in rs.positive_roots if r.is_long)
     short_sum = sum(r.height for r in rs.positive_roots if not r.is_long)
-    expected = (0, long_sum + short_sum) if rs.r == 1 else (long_sum, short_sum)
-    assert rs.height_sums() == expected
+    assert rs.height_sums() == (long_sum, short_sum)
     assert all(type(total) is int for total in rs.height_sums())
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynkindex.identities import lhs, rhs_sl, rhs_so, rhs_sp
+from dynkindex.identities import instance, lhs
 from dynkindex.orbits import degeneration_moves, dominance_leq
 from dynkindex.sl2 import (
     classical_index,
@@ -22,18 +22,18 @@ partitions = st.lists(st.integers(1, 40), min_size=1, max_size=10).map(
 
 @given(partitions)
 def test_sl_identity_formal(p):
-    assert rhs_sl(p) == lhs(p)
+    assert instance("sl", p).rhs == lhs(p)
 
 
 @given(partitions)
 def test_sp_identity_formal(p):
-    assert rhs_sp(p) == lhs(p)
+    assert instance("sp", p).rhs == lhs(p)
 
 
 @given(partitions)
 def test_so_identity_formal(p):
     if sum(p) != 2:
-        assert rhs_so(p) == lhs(p)
+        assert instance("so", p).rhs == lhs(p)
 
 
 @given(st.integers(0, 60), st.integers(0, 60))

@@ -7,16 +7,13 @@ from itertools import product
 import pytest
 
 from dynkindex.reps import (
-    adjoint_index,
     dynkin_index,
     embedding_index,
-    exceptional_simplest_indices,
-    index_chain_rule_holds,
     simplest_embedding_index,
     simplest_representation,
     weyl_dimension,
 )
-from dynkindex.rootsystems import LieType, all_types, build, classical_type
+from dynkindex.rootsystems import EXCEPTIONAL, LieType, all_types, build, classical_type
 from dynkindex.sl2 import branch_adjoint, module_index
 
 
@@ -114,15 +111,15 @@ def test_a_weight_is_read_once_from_any_iterable():
 
 
 def test_adjoint_index_is_twice_dual_coxeter():
-    assert adjoint_index(build("A2")) == 6
-    assert adjoint_index(build("C3")) == 8
-    assert adjoint_index(build("E8")) == 60
+    assert 2 * build("A2").dual_coxeter_number() == 6
+    assert 2 * build("C3").dual_coxeter_number() == 8
+    assert 2 * build("E8").dual_coxeter_number() == 60
     for label in ("A1", "A4", "B3", "C4", "D5", "E6", "E7", "F4", "G2"):
         rs = build(label)
         theta_weight = rs.coroot_pairings(rs.theta.coords)
         report = dynkin_index(rs, theta_weight)
         assert report.dimension == rs.dimension
-        assert report.index == adjoint_index(rs)
+        assert report.index == 2 * rs.dual_coxeter_number()
 
 
 def test_defining_module_indices_for_sp_and_so():
@@ -153,20 +150,22 @@ def test_index_additivity_contract():
 
 
 def test_chain_rule():
-    # principal sl2 inside sl4, probed on the defining module
+    # ind(s, M) = ind(s, g) * ind(g, M) / (2 h*(g)) for a chain s < g and a
+    # g-module M; principal sl2 inside sl4, probed on the defining module
     a3 = build("A3")
     ind_in_adjoint = module_index(branch_adjoint("sl", (4,)))
     assert ind_in_adjoint == 80
-    assert index_chain_rule_holds(a3, ind_in_adjoint, 1, 10)
-    assert not index_chain_rule_holds(a3, ind_in_adjoint, 1, 11)
+    assert Fraction(10) == Fraction(ind_in_adjoint) * 1 / (2 * a3.dual_coxeter_number())
+    assert Fraction(11) != Fraction(ind_in_adjoint) * 1 / (2 * a3.dual_coxeter_number())
     # the identity embedding collapses the rule
     for label in ("A2", "B3", "G2"):
         rs = build(label)
-        assert index_chain_rule_holds(rs, adjoint_index(rs), 7, 7)
+        adjoint = 2 * rs.dual_coxeter_number()
+        assert Fraction(7) == Fraction(adjoint) * 7 / (2 * rs.dual_coxeter_number())
     # principal sl2 inside sp6
     c3 = build("C3")
     assert module_index(branch_adjoint("sp", (6,))) == 280
-    assert index_chain_rule_holds(c3, 280, 1, 35)
+    assert Fraction(35) == Fraction(280) * 1 / (2 * c3.dual_coxeter_number())
 
 
 def test_simplest_representations():
@@ -192,7 +191,7 @@ def test_exceptional_embedding_indices():
     assert simplest_embedding_index(LieType.parse("E7")) == 12
     assert simplest_embedding_index(LieType.parse("F4")) == 3
     assert simplest_embedding_index(LieType.parse("G2")) == 1
-    assert exceptional_simplest_indices() == {
+    assert {k: simplest_embedding_index(LieType.parse(k)) for k in EXCEPTIONAL} == {
         "E6": 6, "E7": 12, "E8": 30, "F4": 3, "G2": 1,
     }
 
@@ -238,7 +237,8 @@ def test_integrality_sampled_at_high_rank():
 def test_multiplicativity_of_simplest_embeddings():
     # table value times the index of the classical defining module equals the
     # index of the exceptional algebra on that same module
-    for label, table_value in exceptional_simplest_indices().items():
+    indices = {k: simplest_embedding_index(LieType.parse(k)) for k in EXCEPTIONAL}
+    for label, table_value in indices.items():
         weight, dim, kind = simplest_representation(LieType.parse(label))
         top = dynkin_index(build(label), weight).index
         target = build(classical_type(kind, dim))

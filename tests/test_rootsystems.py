@@ -256,12 +256,12 @@ def test_exponents():
 
 def test_height_sums():
     assert build("G2").height_sums() == (10, 6)
-    assert build("A2").height_sums() == (0, 4)
+    assert build("A2").height_sums() == (4, 0)
     long_sum, short_sum = build("C3").height_sums()
     assert long_sum + 2 * short_sum == 35
-    for label in ("A4", "D5", "E7"):  # simply laced: everything under short
+    for label in ("A4", "D5", "E7"):  # simply laced: every root is long
         rs = build(label)
-        assert rs.height_sums()[0] == 0
+        assert rs.height_sums()[1] == 0
 
 
 def test_coroot_half_sum_norm():
