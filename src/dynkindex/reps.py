@@ -76,7 +76,7 @@ def dynkin_index(rs: RootSystem, weight) -> RepIndexReport:
     weight = _check_weight(rs, weight)
     dim, pairings = _weyl_walk(rs, weight)
     form = sum(map(mul, pairings, pairings)) - rs._rho_square_sum
-    value = Fraction(dim * form, rs.dimension * rs.r**2 * rs.dual_coxeter_number())
+    value = Fraction(dim * form, rs.dimension * rs.r**2 * rs.dual_coxeter_number)
     return RepIndexReport(dim, value, value.denominator == 1)
 
 

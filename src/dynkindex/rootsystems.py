@@ -343,6 +343,16 @@ class RootSystem:
     All attributes are fixed at construction: once ``__init__`` returns,
     assigning or deleting an instance attribute raises ``AttributeError``.
     Instances can be shared freely across threads.
+
+    The type constants are attributes: ``rank``, ``dimension``, ``r``,
+    ``theta``, ``coxeter_number`` h = 1 + height(theta), the dual Coxeter
+    number ``dual_coxeter_number`` h* = 1 + (rho, theta-check),
+    ``dual_coxeter_number_of_dual`` = 1 + height(theta_short) (h* of the
+    Langlands dual), the ``exponents`` (the conjugate of the height
+    distribution), and ``height_sums``, the height totals over the long and
+    the short positive roots split by ``Root.is_long``, so a simply-laced
+    type reads (total, 0).  The combination long + r * short is twice the
+    squared length of the coroot half-sum.
     """
 
     def __init__(self, lie_type: LieType):
@@ -391,24 +401,26 @@ class RootSystem:
         _require(
             sum(2 * m + 1 for m in exps) == self.dimension, "exponents miss the dimension"
         )
-        self._exponents = exps
+        self.exponents = exps
 
         self.theta = max(roots, key=lambda r: r.height)
         _require(counts[self.theta.height] == 1, "highest root is not unique")
         _require(self.theta.norm2 == 2, "normalisation failed")
+        self.coxeter_number = self.theta.height + 1
 
         shorts = (r for r in roots if not r.is_long)
         self.theta_short = max(shorts, key=lambda r: r.height, default=self.theta)
         _require(self.theta_short.norm2 * scale == 2, "(theta_s, theta_s) * r is not 2")
+        self.dual_coxeter_number_of_dual = 1 + self.theta_short.height
 
         # h* = 1 + (rho, theta-check) = 1 + (2 rho, theta) / 2, since
         # (theta, theta) = 2: one integer sum over the scaled Gram matrix.
         twice_rho_theta = _int_bilinear(int_gram, total, self.theta.coords)
         _require(twice_rho_theta % (2 * scale) == 0, "dual Coxeter number is not an integer")
-        self._dual_coxeter = 1 + twice_rho_theta // (2 * scale)
+        self.dual_coxeter_number = 1 + twice_rho_theta // (2 * scale)
         # A root's height is its coordinate sum, so the height totals are the
         # sums of the coordinate totals.
-        self._height_sums = (sum(long_total), sum(short_total))
+        self.height_sums = (sum(long_total), sum(short_total))
 
         self.rho = tuple(Fraction(t, 2) for t in total)
         # Coroot half-sum: each root contributes its coordinates divided by
@@ -484,39 +496,6 @@ class RootSystem:
         gram = tuple(tuple(map(mul, row, self._int_norms)) for row in adjugate)
         _require(gram == tuple(zip(*gram)), "weight form is not symmetric")
         return _bilinear(gram, a, b, det * self.r)
-
-    # -- classical invariants ------------------------------------------------
-
-    def coxeter_number(self) -> int:
-        return self.theta.height + 1
-
-    def dual_coxeter_number(self) -> int:
-        """1 + (rho, theta-check), computed once at construction."""
-        return self._dual_coxeter
-
-    def dual_coxeter_number_of_dual(self) -> int:
-        """Dual Coxeter number of the Langlands dual root system."""
-        return 1 + self.theta_short.height
-
-    def exponents(self) -> tuple[int, ...]:
-        """Exponents, read off as the conjugate of the height distribution."""
-        return self._exponents
-
-    def height_sums(self) -> tuple[int, int]:
-        """Height totals over the long and the short positive roots, split
-        by ``Root.is_long``, so a simply-laced type reads (total, 0).  The
-        combination long + r * short is twice the squared length of the
-        coroot half-sum.  Computed once at construction.
-        """
-        return self._height_sums
-
-    def rho_check_norm2_doubled(self) -> Fraction:
-        return 2 * self.form(self.rho_check, self.rho_check)
-
-    def strange_formula_holds(self) -> bool:
-        """Freudenthal-de Vries: (rho,rho) = dim*h^*/12 in this normalisation."""
-        expected = Fraction(self.dimension * self.dual_coxeter_number(), 12)
-        return self.form(self.rho, self.rho) == expected
 
     def __repr__(self) -> str:
         return f"RootSystem({self.lie_type})"

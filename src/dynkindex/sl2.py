@@ -290,15 +290,15 @@ def principal_index(rs: RootSystem) -> IndexReport:
     decomposition of the adjoint module over the exponents must agree; for
     classical types the partition route is added as well.
     """
-    long_sum, short_sum = rs.height_sums()
+    long_sum, short_sum = rs.height_sums
     routes = {
         "dual-coxeter-uniform": Fraction(
-            rs.dimension * rs.dual_coxeter_number_of_dual() * rs.r, 6
+            rs.dimension * rs.dual_coxeter_number_of_dual * rs.r, 6
         ),
         "coroot-norm": Fraction(long_sum + rs.r * short_sum),
         "kostant": Fraction(
-            sum(comb(2 * m + 2, 3) for m in rs.exponents()),
-            2 * rs.dual_coxeter_number(),
+            sum(comb(2 * m + 2, 3) for m in rs.exponents),
+            2 * rs.dual_coxeter_number,
         ),
     }
     module = defining_module(rs.lie_type)
@@ -314,12 +314,11 @@ def principal_index(rs: RootSystem) -> IndexReport:
 
 @dataclass(frozen=True)
 class McKayData:
-    """Invariant degrees (a, b, h) with a + b = h + 2 and the order a*b/2 of
+    """Invariant degrees (a, b) with a + b = h + 2 and the order a*b/2 of
     the attached finite subgroup of SL2."""
 
     a: int
     b: int
-    h: int
     group_order: int
 
 
@@ -346,12 +345,11 @@ def mckay_data(lt: LieType) -> McKayData:
     """Invariant degrees attached to a simple type of rank at least 2."""
     if lt.rank < 2:
         raise ValueError(f"{lt}: rank 1 has no subregular orbit and no degree pair")
-    rs = build(lt)
-    h = rs.coxeter_number()
+    h = build(lt).coxeter_number
     a, b = sorted(ab_closed_form(lt.family, lt.rank))
     _require(a + b == h + 2, "{}: degrees {} + {} differ from h + 2 = {}", lt, a, b, h + 2)
     _require((a * b) % 2 == 0, "{}: degree product {} is odd", lt, a * b)
-    return McKayData(a, b, h, a * b // 2)
+    return McKayData(a, b, a * b // 2)
 
 
 def subregular_module(rs: RootSystem) -> Sl2Module:
@@ -361,8 +359,8 @@ def subregular_module(rs: RootSystem) -> Sl2Module:
     three pieces of degrees a-2, b-2 and h-2.
     """
     data = mckay_data(rs.lie_type)  # refuses rank 1, which has no subregular orbit
-    exps = rs.exponents()
-    h = rs.coxeter_number()
+    exps = rs.exponents
+    h = rs.coxeter_number
     exps_ok = exps[0] == 1 and exps[0] < exps[1] and exps[-2] < exps[-1] == h - 1
     _require(exps_ok, "{}: exponents {} do not fit h = {}", rs.lie_type, exps, h)
     components = tuple(
@@ -384,8 +382,8 @@ def principal_minus_subregular(rs: RootSystem) -> IndexReport:
     Fraction of an integer numerator and an integer denominator.
     """
     data = mckay_data(rs.lie_type)  # refuses rank 1, which has no subregular orbit
-    h = rs.coxeter_number()
-    hstar = rs.dual_coxeter_number()
+    h = rs.coxeter_number
+    hstar = rs.dual_coxeter_number
     a, b = data.a, data.b
     principal = principal_index(rs).value
     routes = {
@@ -432,7 +430,7 @@ def _observe(lt: LieType) -> DifferenceObservation:
     report = principal_minus_subregular(rs)
     if not report.consistent:
         raise ArithmeticError(report.disagreement(f"{lt} difference"))
-    h, b = rs.coxeter_number(), mckay_data(lt).b
+    h, b = rs.coxeter_number, mckay_data(lt).b
     return DifferenceObservation(str(lt), lt.rank, report.value, h, b)
 
 

@@ -98,10 +98,10 @@ def check_structure(config: VerifyConfig) -> Iterator[list[str]]:
             for root in rs.positive_roots
         ):
             failures.append(f"{lt}: coroot half-sum pairing is not the height")
-        if not rs.strange_formula_holds():
+        if rs.form(rs.rho, rs.rho) != Fraction(rs.dimension * rs.dual_coxeter_number, 12):
             failures.append(f"{lt}: strange formula failed")
-        long_sum, short_sum = rs.height_sums()
-        if rs.rho_check_norm2_doubled() != long_sum + rs.r * short_sum:
+        long_sum, short_sum = rs.height_sums
+        if 2 * rs.form(rs.rho_check, rs.rho_check) != long_sum + rs.r * short_sum:
             failures.append(f"{lt}: coroot norm differs from weighted height sum")
         yield failures
 
@@ -125,7 +125,7 @@ def check_unfolding(config: VerifyConfig) -> Iterator[list[str]]:
     for folded_type, unfolded_type in pairs:
         folded = build(folded_type)
         unfolded = build(unfolded_type)
-        long_sum, short_sum = folded.height_sums()
+        long_sum, short_sum = folded.height_sums
         total = sum(r.height for r in unfolded.positive_roots)
         differ = long_sum + folded.r * short_sum != total
         yield [f"{folded_type} vs {unfolded_type}: height sums differ"] if differ else []

@@ -148,7 +148,7 @@ def test_criterion_6_monotonicity():
 def test_criterion_7_structural_invariants():
     for lt in list(_classical_types()) + [LieType.parse(s) for s in EXCEPTIONAL]:
         rs = build(lt)
-        assert rs.strange_formula_holds(), lt
+        assert rs.form(rs.rho, rs.rho) == Fraction(rs.dimension * rs.dual_coxeter_number, 12), lt
         for root in rs.positive_roots:
             assert rs.form(rs.rho_check, root.coords) == root.height, lt
     pairs = (
@@ -159,7 +159,7 @@ def test_criterion_7_structural_invariants():
     )
     for folded_type, partner_type in pairs:
         folded = build(folded_type)
-        long_sum, short_sum = folded.height_sums()
+        long_sum, short_sum = folded.height_sums
         total = sum(r.height for r in build(partner_type).positive_roots)
         assert long_sum + folded.r * short_sum == total, folded_type
     _report(7, "strange formula, height pairing, and unfolding equalities")

@@ -1,9 +1,11 @@
 """The package root re-exports the working surface."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import dynkindex
+from dynkindex.rootsystems import RootSystem, all_types, build
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dynkindex"
 
@@ -120,3 +122,84 @@ def test_every_public_function_is_reached_or_allow_listed():
             todo.extend(graph.get(name, ()))
     unreached = {name for name in functions - reached if not name.startswith("_")}
     assert unreached == set(UNREACHED_PUBLIC)
+
+
+# (coxeter_number, dual_coxeter_number, dual_coxeter_number_of_dual,
+# exponents, height_sums) for every type of all_types(12), as the library
+# computed them when they were still read through zero-argument methods.
+TYPE_CONSTANTS = {
+    "A1": (2, 2, 2, (1,), (1, 0)),
+    "A2": (3, 3, 3, (1, 2), (4, 0)),
+    "A3": (4, 4, 4, (1, 2, 3), (10, 0)),
+    "A4": (5, 5, 5, (1, 2, 3, 4), (20, 0)),
+    "A5": (6, 6, 6, (1, 2, 3, 4, 5), (35, 0)),
+    "A6": (7, 7, 7, (1, 2, 3, 4, 5, 6), (56, 0)),
+    "A7": (8, 8, 8, (1, 2, 3, 4, 5, 6, 7), (84, 0)),
+    "A8": (9, 9, 9, (1, 2, 3, 4, 5, 6, 7, 8), (120, 0)),
+    "A9": (10, 10, 10, (1, 2, 3, 4, 5, 6, 7, 8, 9), (165, 0)),
+    "A10": (11, 11, 11, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), (220, 0)),
+    "A11": (12, 12, 12, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11), (286, 0)),
+    "A12": (13, 13, 13, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), (364, 0)),
+    "B2": (4, 3, 3, (1, 3), (4, 3)),
+    "B3": (6, 5, 4, (1, 3, 5), (16, 6)),
+    "B4": (8, 7, 5, (1, 3, 5, 7), (40, 10)),
+    "B5": (10, 9, 6, (1, 3, 5, 7, 9), (80, 15)),
+    "B6": (12, 11, 7, (1, 3, 5, 7, 9, 11), (140, 21)),
+    "B7": (14, 13, 8, (1, 3, 5, 7, 9, 11, 13), (224, 28)),
+    "B8": (16, 15, 9, (1, 3, 5, 7, 9, 11, 13, 15), (336, 36)),
+    "B9": (18, 17, 10, (1, 3, 5, 7, 9, 11, 13, 15, 17), (480, 45)),
+    "B10": (20, 19, 11, (1, 3, 5, 7, 9, 11, 13, 15, 17, 19), (660, 55)),
+    "B11": (22, 21, 12, (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21), (880, 66)),
+    "B12": (24, 23, 13, (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23), (1144, 78)),
+    "C2": (4, 3, 3, (1, 3), (4, 3)),
+    "C3": (6, 4, 5, (1, 3, 5), (9, 13)),
+    "C4": (8, 5, 7, (1, 3, 5, 7), (16, 34)),
+    "C5": (10, 6, 9, (1, 3, 5, 7, 9), (25, 70)),
+    "C6": (12, 7, 11, (1, 3, 5, 7, 9, 11), (36, 125)),
+    "C7": (14, 8, 13, (1, 3, 5, 7, 9, 11, 13), (49, 203)),
+    "C8": (16, 9, 15, (1, 3, 5, 7, 9, 11, 13, 15), (64, 308)),
+    "C9": (18, 10, 17, (1, 3, 5, 7, 9, 11, 13, 15, 17), (81, 444)),
+    "C10": (20, 11, 19, (1, 3, 5, 7, 9, 11, 13, 15, 17, 19), (100, 615)),
+    "C11": (22, 12, 21, (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21), (121, 825)),
+    "C12": (24, 13, 23, (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23), (144, 1078)),
+    "D3": (4, 4, 4, (1, 2, 3), (10, 0)),
+    "D4": (6, 6, 6, (1, 3, 3, 5), (28, 0)),
+    "D5": (8, 8, 8, (1, 3, 4, 5, 7), (60, 0)),
+    "D6": (10, 10, 10, (1, 3, 5, 5, 7, 9), (110, 0)),
+    "D7": (12, 12, 12, (1, 3, 5, 6, 7, 9, 11), (182, 0)),
+    "D8": (14, 14, 14, (1, 3, 5, 7, 7, 9, 11, 13), (280, 0)),
+    "D9": (16, 16, 16, (1, 3, 5, 7, 8, 9, 11, 13, 15), (408, 0)),
+    "D10": (18, 18, 18, (1, 3, 5, 7, 9, 9, 11, 13, 15, 17), (570, 0)),
+    "D11": (20, 20, 20, (1, 3, 5, 7, 9, 10, 11, 13, 15, 17, 19), (770, 0)),
+    "D12": (22, 22, 22, (1, 3, 5, 7, 9, 11, 11, 13, 15, 17, 19, 21), (1012, 0)),
+    "E6": (12, 12, 12, (1, 4, 5, 7, 8, 11), (156, 0)),
+    "E7": (18, 18, 18, (1, 5, 7, 9, 11, 13, 17), (399, 0)),
+    "E8": (30, 30, 30, (1, 7, 11, 13, 17, 19, 23, 29), (1240, 0)),
+    "F4": (12, 9, 9, (1, 5, 7, 11), (64, 46)),
+    "G2": (6, 4, 4, (1, 5), (10, 6)),
+}
+
+
+def test_root_system_facts_are_attributes():
+    # A public method of RootSystem computes from an argument; a fact of the
+    # type is an attribute.  fundamental_weights stays a property, since the
+    # benchmarks read it that way.
+    getters = sorted(
+        name
+        for name, member in vars(RootSystem).items()
+        if not name.startswith("_")
+        and name != "fundamental_weights"
+        and (isinstance(member, property) or len(inspect.signature(member).parameters) < 2)
+    )
+    assert not getters, "zero-argument methods: " + ", ".join(getters)
+    assert [str(lt) for lt in all_types(12)] == list(TYPE_CONSTANTS)
+    for lt in all_types(12):
+        rs = build(lt)
+        constants = (
+            rs.coxeter_number,
+            rs.dual_coxeter_number,
+            rs.dual_coxeter_number_of_dual,
+            rs.exponents,
+            rs.height_sums,
+        )
+        assert constants == TYPE_CONSTANTS[str(lt)], lt

@@ -308,8 +308,8 @@ def test_dual_coxeter_number_matches_fraction_form(lt):
     rs = build(lt)
     oracle = 1 + rs.form(rs.rho, rs.theta.coords)
     assert oracle.denominator == 1
-    assert type(rs.dual_coxeter_number()) is int
-    assert rs.dual_coxeter_number() == int(oracle)
+    assert type(rs.dual_coxeter_number) is int
+    assert rs.dual_coxeter_number == int(oracle)
 
 
 @pytest.mark.parametrize("lt", ORACLE_TYPES, ids=str)
@@ -318,14 +318,14 @@ def test_height_sums_match_per_root_sums(lt):
     rs = build(lt)
     long_sum = sum(r.height for r in rs.positive_roots if r.is_long)
     short_sum = sum(r.height for r in rs.positive_roots if not r.is_long)
-    assert rs.height_sums() == (long_sum, short_sum)
-    assert all(type(total) is int for total in rs.height_sums())
+    assert rs.height_sums == (long_sum, short_sum)
+    assert all(type(total) is int for total in rs.height_sums)
 
 
 def test_raised_dual_coxeter_number_is_a_route_disagreement():
     # A fresh object, so the cached root system stays intact.
     rs = RootSystem(LieType("B", 4))
-    object.__setattr__(rs, "_dual_coxeter", rs.dual_coxeter_number() + 1)
+    object.__setattr__(rs, "dual_coxeter_number", rs.dual_coxeter_number + 1)
     principal = principal_index(rs)
     assert not principal.consistent
     assert principal.routes["kostant"] != principal.value

@@ -3,6 +3,7 @@
 import re
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -111,15 +112,15 @@ def test_a_weight_is_read_once_from_any_iterable():
 
 
 def test_adjoint_index_is_twice_dual_coxeter():
-    assert 2 * build("A2").dual_coxeter_number() == 6
-    assert 2 * build("C3").dual_coxeter_number() == 8
-    assert 2 * build("E8").dual_coxeter_number() == 60
+    assert 2 * build("A2").dual_coxeter_number == 6
+    assert 2 * build("C3").dual_coxeter_number == 8
+    assert 2 * build("E8").dual_coxeter_number == 60
     for label in ("A1", "A4", "B3", "C4", "D5", "E6", "E7", "F4", "G2"):
         rs = build(label)
         theta_weight = rs.coroot_pairings(rs.theta.coords)
         report = dynkin_index(rs, theta_weight)
         assert report.dimension == rs.dimension
-        assert report.index == 2 * rs.dual_coxeter_number()
+        assert report.index == 2 * rs.dual_coxeter_number
 
 
 def test_defining_module_indices_for_sp_and_so():
@@ -155,17 +156,24 @@ def test_chain_rule():
     a3 = build("A3")
     ind_in_adjoint = module_index(branch_adjoint("sl", (4,)))
     assert ind_in_adjoint == 80
-    assert Fraction(10) == Fraction(ind_in_adjoint) * 1 / (2 * a3.dual_coxeter_number())
-    assert Fraction(11) != Fraction(ind_in_adjoint) * 1 / (2 * a3.dual_coxeter_number())
-    # the identity embedding collapses the rule
-    for label in ("A2", "B3", "G2"):
+    assert Fraction(10) == Fraction(ind_in_adjoint) * 1 / (2 * a3.dual_coxeter_number)
+    assert Fraction(11) != Fraction(ind_in_adjoint) * 1 / (2 * a3.dual_coxeter_number)
+    # principal sl2 in A2, B3 and G2, probed on the first fundamental module
+    # M, where the principal nilpotent is one Jordan block: ind(s, M) from
+    # dim M alone, ind(s, g) from Kostant's decomposition over the exponents
+    # and ind(g, M) from the weight
+    for label, expected in (("A2", (4, 24, 1)), ("B3", (56, 280, 2)), ("G2", (56, 224, 2))):
         rs = build(label)
-        adjoint = 2 * rs.dual_coxeter_number()
-        assert Fraction(7) == Fraction(adjoint) * 7 / (2 * rs.dual_coxeter_number())
+        ind_g_m = dynkin_index(rs, (1,) + (0,) * (rs.rank - 1))
+        ind_s_m = comb(ind_g_m.dimension + 1, 3)
+        ind_s_g = sum(comb(2 * m + 2, 3) for m in rs.exponents)
+        hstar = rs.dual_coxeter_number
+        assert Fraction(ind_s_m) == Fraction(ind_s_g) * ind_g_m.index / (2 * hstar), label
+        assert (ind_s_m, ind_s_g, ind_g_m.index) == expected
     # principal sl2 inside sp6
     c3 = build("C3")
     assert module_index(branch_adjoint("sp", (6,))) == 280
-    assert Fraction(35) == Fraction(280) * 1 / (2 * c3.dual_coxeter_number())
+    assert Fraction(35) == Fraction(280) * 1 / (2 * c3.dual_coxeter_number)
 
 
 def test_simplest_representations():
