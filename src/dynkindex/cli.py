@@ -67,11 +67,11 @@ _FORMS = {
 def _column(lt: LieType) -> dict:
     rs = build(lt)
     principal = sl2.principal_index(rs)
-    difference = sl2.principal_minus_subregular(rs)
+    data = sl2.mckay_data(lt)
+    difference = sl2.principal_minus_subregular(rs, principal.value, data)
     for quantity, report in (("principal-index", principal), ("difference", difference)):
         if not report.consistent:
             raise ArithmeticError(report.disagreement(f"{lt} {quantity}"))
-    data = sl2.mckay_data(lt)
     ratio = difference.value / (data.b * lt.rank)
     values = (principal.value, difference.value, data.a, data.b, ratio)
     forms = _FORMS.get(lt.family, {})

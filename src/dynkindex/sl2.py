@@ -352,13 +352,12 @@ def mckay_data(lt: LieType) -> McKayData:
     return McKayData(a, b, a * b // 2)
 
 
-def subregular_module(rs: RootSystem) -> Sl2Module:
+def subregular_module(rs: RootSystem, data: McKayData) -> Sl2Module:
     """Restriction of the adjoint module to a subregular sl2.
 
     Drops the top exponent from the principal decomposition and adds the
     three pieces of degrees a-2, b-2 and h-2.
     """
-    data = mckay_data(rs.lie_type)  # refuses rank 1, which has no subregular orbit
     exps = rs.exponents
     h = rs.coxeter_number
     exps_ok = exps[0] == 1 and exps[0] < exps[1] and exps[-2] < exps[-1] == h - 1
@@ -373,19 +372,19 @@ def subregular_module(rs: RootSystem) -> Sl2Module:
     return components
 
 
-def principal_minus_subregular(rs: RootSystem) -> IndexReport:
+def principal_minus_subregular(
+    rs: RootSystem, principal: Fraction, data: McKayData
+) -> IndexReport:
     """Difference D of the principal and subregular indices, four ways.
 
     Closed form (h/h*)(C(h,2) + (a-2)(b-2)/4), the variant through the group
     order, the raw binomial difference of the two adjoint branchings, and the
-    literal difference of the two index computations.  Each route is one
-    Fraction of an integer numerator and an integer denominator.
+    literal difference of the two index computations, the one route that
+    reads the principal value.  Each is a Fraction of two integers.
     """
-    data = mckay_data(rs.lie_type)  # refuses rank 1, which has no subregular orbit
     h = rs.coxeter_number
     hstar = rs.dual_coxeter_number
     a, b = data.a, data.b
-    principal = principal_index(rs).value
     routes = {
         "closed-form": Fraction(h * (4 * comb(h, 2) + (a - 2) * (b - 2)), 4 * hstar),
         "group-order": Fraction(h * (h * (h - 2) + data.group_order), 2 * hstar),
@@ -394,7 +393,7 @@ def principal_minus_subregular(rs: RootSystem) -> IndexReport:
         ),
         "module-difference": Fraction(
             2 * hstar * principal.numerator
-            - module_index(subregular_module(rs)) * principal.denominator,
+            - module_index(subregular_module(rs, data)) * principal.denominator,
             2 * hstar * principal.denominator,
         ),
     }
@@ -427,11 +426,11 @@ class DifferenceObservation:
 
 def _observe(lt: LieType) -> DifferenceObservation:
     rs = build(lt)
-    report = principal_minus_subregular(rs)
+    data = mckay_data(lt)  # first: it refuses rank 1 and a broken degree pair
+    report = principal_minus_subregular(rs, principal_index(rs).value, data)
     if not report.consistent:
         raise ArithmeticError(report.disagreement(f"{lt} difference"))
-    h, b = rs.coxeter_number, mckay_data(lt).b
-    return DifferenceObservation(str(lt), lt.rank, report.value, h, b)
+    return DifferenceObservation(str(lt), lt.rank, report.value, rs.coxeter_number, data.b)
 
 
 def sweep_types(max_classical_rank: int):

@@ -208,17 +208,29 @@ def check_difference_bounds(config: VerifyConfig) -> Iterator[list[str]]:
             yield sl2.difference_observations_ok([observation])[1]
 
 
+def _mckay_partner(lt: LieType) -> LieType:
+    """Slodowy's (1980) simply-laced partner, the reverse of _UNFOLDING_PAIRS:
+    B_n -> A_2n-1, C_n -> D_n+1, F4 -> E6, G2 -> D4, else lt itself."""
+    n = lt.rank
+    partners = {"B": ("A", 2 * n - 1), "C": ("D", n + 1), "F": ("E", 6), "G": ("D", 4)}
+    return LieType(*partners.get(lt.family, (lt.family, n)))
+
+
 @_check("mckay", "types checked")
 def check_mckay(config: VerifyConfig) -> Iterator[list[str]]:
-    """Degree pairs and subregular dimensions, checked where sl2 builds them."""
+    """Degree pairs and subregular dimensions, checked where sl2 builds them,
+    and the group order a*b/2 against 1 + the sum of the squared marks of the
+    partner's highest root (McKay, 1980)."""
     for lt in sl2.sweep_types(config.max_classical_rank):
-        rs = build(lt)
         try:
-            sl2.subregular_module(rs)  # it requires the degree pair of mckay_data
+            data = sl2.mckay_data(lt)
+            sl2.subregular_module(build(lt), data)
         except (ValueError, ArithmeticError) as exc:
             yield [str(exc)]  # the messages of sl2 name the type
-        else:
-            yield []
+            continue
+        order = 1 + sum(c * c for c in build(_mckay_partner(lt)).theta.coords)
+        differ = data.group_order != order
+        yield [f"{lt}: group order {data.group_order} != {order}"] if differ else []
 
 
 def run_checks(config: VerifyConfig) -> list[CheckResult]:

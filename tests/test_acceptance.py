@@ -70,20 +70,22 @@ def test_criterion_1_summary_table():
     for lt in _classical_types():
         fam, n = lt.family, lt.rank
         rs = build(lt)
-        assert principal_index(rs).value == CLOSED_PRINCIPAL[fam](n), lt
-        d_report = principal_minus_subregular(rs)
+        value = principal_index(rs).value
+        assert value == CLOSED_PRINCIPAL[fam](n), lt
+        data = mckay_data(lt)
+        d_report = principal_minus_subregular(rs, value, data)
         assert d_report.consistent
         assert d_report.value == CLOSED_DIFFERENCE[fam](n), lt
         a, b = ab_closed_form(fam, n)
-        data = mckay_data(lt)
         assert {data.a, data.b} == {a, b}
         assert d_report.value / (b * n) == RATIO_CONSTANT[fam], lt
     for label, (principal, diff, a, b, ratio) in EXC_TABLE.items():
         rs = build(label)
-        assert principal_index(rs).value == principal
-        d_report = principal_minus_subregular(rs)
-        assert d_report.value == diff
+        value = principal_index(rs).value
+        assert value == principal
         data = mckay_data(LieType.parse(label))
+        d_report = principal_minus_subregular(rs, value, data)
+        assert d_report.value == diff
         assert (data.a, data.b) == (a, b)
         assert d_report.value / (b * rs.rank) == ratio
     _report(1, "summary table reproduced from closed forms, ranks 2..10")

@@ -187,8 +187,8 @@ def test_table_route_disagreement_exits_1(capsys, monkeypatch):
 def test_table_difference_disagreement_exits_1(capsys, monkeypatch):
     real = sl2.principal_minus_subregular
 
-    def inconsistent(rs):
-        report = real(rs)
+    def inconsistent(rs, principal, data):
+        report = real(rs, principal, data)
         routes = {**report.routes, "broken": report.value + 1}
         return sl2.IndexReport(report.value, routes)
 
@@ -229,8 +229,8 @@ SMALL_VERIFY = (
 def test_verify_lists_a_difference_disagreement_under_difference_bounds(capsys, monkeypatch):
     real = sl2.principal_minus_subregular
 
-    def with_broken_route(rs):
-        report = real(rs)
+    def with_broken_route(rs, principal, data):
+        report = real(rs, principal, data)
         return sl2.IndexReport(report.value, {**report.routes, "broken": report.value + 1})
 
     monkeypatch.setattr(sl2, "principal_minus_subregular", with_broken_route)
@@ -259,6 +259,56 @@ def test_verify_lists_a_refused_degree_pair_under_both_sweeps(capsys, monkeypatc
     message = "       counterexample: G2: degrees 4 + 6 differ from h + 2 = 8"
     assert lines.count(message) == 2
     assert lines[-1] == "8/10 checks passed"
+
+
+def test_verify_mckay_compares_the_group_order_with_the_partner_marks(capsys, monkeypatch):
+    # (2, 6) keeps a + b = h + 2 and the subregular dimension; only the group
+    # order a*b/2 = 6 differs from 1 + the squared marks of D4's highest root.
+    monkeypatch.setitem(sl2._AB_EXCEPTIONAL, "G2", (2, 6))
+    code, out, err = run(capsys, "verify", "--only", "mckay")
+    assert (code, err) == (1, "")
+    assert out == (
+        "FAIL mckay              38 types checked\n"
+        "       counterexample: G2: group order 6 != 8\n"
+        "0/1 checks passed\n"
+    )
+
+
+def test_table_evaluates_each_route_once_per_column(monkeypatch):
+    # The principal value and the degree pair are evaluated once and passed
+    # along; nothing is cached, so the counts are per call.
+    counts = {}
+    for name in ("principal_index", "mckay_data", "classical_index"):
+        counts[name] = 0
+
+        def counted(*args, real=getattr(sl2, name), name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(sl2, name, counted)
+    table_payload(5)
+    assert counts == {"principal_index": 9, "mckay_data": 9, "classical_index": 4}
+    counts.update(principal_index=0, mckay_data=0)
+    sl2.difference_observations(10)
+    assert (counts["mckay_data"], counts["principal_index"]) == (38, 38)
+
+
+def test_table_checks_the_principal_value_it_passes_along(capsys, monkeypatch):
+    # Every route shifted alike: the principal report agrees with itself, so
+    # only the difference's module-difference route can see the error.
+    real = sl2.principal_index
+
+    def shifted(rs):
+        report = real(rs)
+        return sl2.IndexReport(report.value + 1, {k: v + 1 for k, v in report.routes.items()})
+
+    monkeypatch.setattr(sl2, "principal_index", shifted)
+    code, out, err = run(capsys, "table")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: route disagreement for A5 difference: closed-form=15, group-order=15, "
+        "module-difference=16, raw-binomial=15\n"
+    )
 
 
 # Each closed form that table prints for a classical column, as a function of n.

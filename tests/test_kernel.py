@@ -29,7 +29,7 @@ from dynkindex.rootsystems import (
     all_types,
     build,
 )
-from dynkindex.sl2 import principal_index, principal_minus_subregular
+from dynkindex.sl2 import mckay_data, principal_index, principal_minus_subregular
 
 TYPES_TO_RANK_12 = [
     LieType(family, rank)
@@ -330,7 +330,7 @@ def test_raised_dual_coxeter_number_is_a_route_disagreement():
     assert not principal.consistent
     assert principal.routes["kostant"] != principal.value
     assert "kostant=" in principal.disagreement("B4 principal-index")
-    difference = principal_minus_subregular(rs)
+    difference = principal_minus_subregular(rs, principal.value, mckay_data(rs.lie_type))
     assert not difference.consistent
     assert difference.routes["module-difference"] != difference.routes["closed-form"]
     assert "closed-form=" in difference.disagreement("B4 difference")

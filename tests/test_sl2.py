@@ -102,8 +102,8 @@ def test_index_report_disagreement_lists_sorted_routes_as_fractions():
 def test_difference_sweep_names_every_route_of_a_disagreement(monkeypatch):
     real = sl2.principal_minus_subregular
 
-    def with_broken_route(rs):
-        report = real(rs)
+    def with_broken_route(rs, principal, data):
+        report = real(rs, principal, data)
         return IndexReport(report.value, {**report.routes, "broken": report.value + 1})
 
     monkeypatch.setattr(sl2, "principal_minus_subregular", with_broken_route)
@@ -488,29 +488,49 @@ def test_mckay_data_consistent_across_presentations():
     assert mckay_data(LieType.parse("D3")) == mckay_data(LieType.parse("A3"))
 
 
+def _subregular(label):
+    rs = build(label)
+    return subregular_module(rs, mckay_data(rs.lie_type))
+
+
 def test_subregular_module():
-    assert subregular_module(build("D4")) == (6, 6, 4, 2, 2, 2)
-    assert subregular_module(build("A2")) == (2, 1, 1, 0)
-    assert subregular_module(build("B2")) == (2, 2, 2, 0)
+    assert _subregular("D4") == (6, 6, 4, 2, 2, 2)
+    assert _subregular("A2") == (2, 1, 1, 0)
+    assert _subregular("B2") == (2, 2, 2, 0)
     for label in ("A5", "B5", "C5", "D5", "E6", "E7", "E8", "F4", "G2"):
-        rs = build(label)
-        assert module_dimension(subregular_module(rs)) == rs.dimension
+        assert module_dimension(_subregular(label)) == build(label).dimension
     refusal = r"^A1: rank 1 has no subregular orbit and no degree pair$"
     with pytest.raises(ValueError, match=refusal):
-        subregular_module(build("A1"))
+        _subregular("A1")
+
+
+def _difference(label):
+    # Each value evaluated once and passed along, as the CLI and the sweep do.
+    rs = build(label)
+    data = mckay_data(rs.lie_type)
+    return principal_minus_subregular(rs, principal_index(rs).value, data)
 
 
 def test_difference_values():
-    assert principal_minus_subregular(build("G2")).value == 24
-    assert principal_minus_subregular(build("C3")).value == 24
-    assert principal_minus_subregular(build("E7")).value == 168
+    assert _difference("G2").value == 24
+    assert _difference("C3").value == 24
+    assert _difference("E7").value == 168
     for n in range(3, 11):
-        report = principal_minus_subregular(build(LieType("C", n)))
+        report = _difference(LieType("C", n))
         assert report.consistent and report.value == 4 * n * (n - 1)
     for label in ("A4", "B6", "D7", "E6", "E8", "F4"):
-        assert principal_minus_subregular(build(label)).consistent
+        assert _difference(label).consistent
     with pytest.raises(ValueError, match="^A1: rank 1 has no subregular orbit"):
-        principal_minus_subregular(build("A1"))
+        _difference("A1")
+
+
+def test_a_wrong_principal_value_is_a_difference_disagreement():
+    rs = build("A5")
+    value, data = principal_index(rs).value, mckay_data(rs.lie_type)
+    assert principal_minus_subregular(rs, value, data).consistent
+    report = principal_minus_subregular(rs, value + 1, data)
+    assert not report.consistent
+    assert report.routes["module-difference"] == report.value + 1
 
 
 def test_difference_observation_rows():
