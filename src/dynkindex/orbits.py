@@ -124,9 +124,8 @@ def monotonicity_holds(kind: str, n: int) -> bool:
     """Strict index decrease along every cover (orbit_index, so the zero
     orbit counts as 0)."""
     poset = build_poset(kind, n)
-    return all(
-        orbit_index(kind, lower) < orbit_index(kind, upper) for upper, lower in poset.covers
-    )
+    index = {p: orbit_index(kind, p) for p in poset.nodes}
+    return all(index[lower] < index[upper] for upper, lower in poset.covers)
 
 
 def comparable_pairs_strict(kind: str, n: int) -> bool:

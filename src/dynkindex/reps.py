@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from operator import mul
+from operator import add, mul
 
 from .rootsystems import (
     LieType,
@@ -57,7 +57,7 @@ def weyl_dimension(rs: RootSystem, weight) -> int:
 def _weyl_walk(rs: RootSystem, weight: tuple[int, ...]) -> tuple[int, list[int]]:
     # The dimension and the pairings r * (lambda + rho, gamma) over the
     # positive roots, for a weight that _check_weight has already returned.
-    shifted = [(wi + 1) * d for wi, d in zip(weight, rs._int_norms)]
+    shifted = list(map(add, map(mul, weight, rs._int_norms), rs._int_norms))
     pairings = rs._scaled_root_pairings(shifted)
     dim, rem = divmod(prod(pairings), rs._rho_product)
     _require(rem == 0, "Weyl dimension of {} in {} is not an integer", weight, rs.lie_type)
@@ -76,7 +76,7 @@ def dynkin_index(rs: RootSystem, weight) -> RepIndexReport:
     weight = _check_weight(rs, weight)
     dim, pairings = _weyl_walk(rs, weight)
     form = sum(map(mul, pairings, pairings)) - rs._rho_square_sum
-    value = Fraction(dim * form, rs.dimension * rs.r**2 * rs.dual_coxeter_number)
+    value = Fraction(dim * form, rs._index_denominator)
     return RepIndexReport(dim, value, value.denominator == 1)
 
 

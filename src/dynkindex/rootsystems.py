@@ -440,6 +440,7 @@ class RootSystem:
         rho_pairings = self._scaled_root_pairings(int_norms)
         self._rho_product = prod(rho_pairings)
         self._rho_square_sum = sum(map(mul, rho_pairings, rho_pairings))
+        self._index_denominator = self.dimension * scale**2 * self.dual_coxeter_number
         self._frozen = True
 
     def __setattr__(self, name: str, value) -> None:

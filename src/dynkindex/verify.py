@@ -21,7 +21,7 @@ from functools import wraps
 from itertools import product
 
 from . import identities, orbits, reps, sl2
-from .rootsystems import LieType, all_types, build, classical_kind
+from .rootsystems import LieType, _cartan_matrix, _require, all_types, build, classical_kind
 
 
 @dataclass(frozen=True)
@@ -86,17 +86,17 @@ def check_structure(config: VerifyConfig) -> Iterator[list[str]]:
     """Root lengths, height pairing, strange formula, and the equality of the
     coroot-norm expression with the weighted height sums (RootSystem requires
     (theta, theta) = 2 and the exponent sum, subregular_module the top
-    exponent; check_principal compares the sums with the closed expression)."""
+    exponent; check_principal compares the sums with the closed expression).
+    Both (rho-check, gamma) and ht(gamma) are linear in gamma, so the height
+    pairing is checked on the simple roots, which the closure lists first."""
     for lt in all_types(config.max_classical_rank):
         rs = build(lt)
         failures = []
         allowed = {Fraction(2), Fraction(2, rs.r)}
         if any(root.norm2 not in allowed for root in rs.positive_roots):
             failures.append(f"{lt}: unexpected root length")
-        if any(
-            rs.form(rs.rho_check, root.coords) != root.height
-            for root in rs.positive_roots
-        ):
+        simple = rs.positive_roots[: rs.rank]
+        if any(rs.form(rs.rho_check, root.coords) != root.height for root in simple):
             failures.append(f"{lt}: coroot half-sum pairing is not the height")
         if rs.form(rs.rho, rs.rho) != Fraction(rs.dimension * rs.dual_coxeter_number, 12):
             failures.append(f"{lt}: strange formula failed")
@@ -216,19 +216,34 @@ def _mckay_partner(lt: LieType) -> LieType:
     return LieType(*partners.get(lt.family, (lt.family, n)))
 
 
+def _highest_root(cartan, label) -> list[int]:
+    """theta of a simply-laced Cartan matrix, its only dominant root: from
+    alpha_1, add alpha_i while <beta, alpha_i-check> < 0 (each step gives a
+    root) and the height is at most rank^2; then (beta, beta) must be 2."""
+    beta, pairings = [1] + [0] * (len(cartan) - 1), list(cartan[0])
+    while min(pairings) < 0 and sum(beta) <= len(cartan) ** 2:
+        i = pairings.index(min(pairings))
+        beta[i] += 1
+        pairings = [p + c for p, c in zip(pairings, cartan[i])]
+    dominant = min(pairings) >= 0 and sum(b * p for b, p in zip(beta, pairings)) == 2
+    _require(dominant, "{}: the climb ends at no dominant root of norm 2", label)
+    return beta
+
+
 @_check("mckay", "types checked")
 def check_mckay(config: VerifyConfig) -> Iterator[list[str]]:
     """Degree pairs and subregular dimensions, checked where sl2 builds them,
     and the group order a*b/2 against 1 + the sum of the squared marks of the
     partner's highest root (McKay, 1980)."""
     for lt in sl2.sweep_types(config.max_classical_rank):
+        partner = _mckay_partner(lt)
         try:
             data = sl2.mckay_data(lt)
             sl2.subregular_module(build(lt), data)
+            order = 1 + sum(c * c for c in _highest_root(_cartan_matrix(partner), partner))
         except (ValueError, ArithmeticError) as exc:
-            yield [str(exc)]  # the messages of sl2 name the type
+            yield [str(exc)]  # each message names its type
             continue
-        order = 1 + sum(c * c for c in build(_mckay_partner(lt)).theta.coords)
         differ = data.group_order != order
         yield [f"{lt}: group order {data.group_order} != {order}"] if differ else []
 

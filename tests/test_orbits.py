@@ -117,6 +117,20 @@ def test_monotonicity_small_cases():
     assert monotonicity_holds("so", 8)
 
 
+def test_monotonicity_evaluates_each_orbit_index_once(monkeypatch):
+    calls = []
+    real = orbits.classical_index
+
+    def counted(kind, p):
+        calls.append(p)
+        return real(kind, p)
+
+    monkeypatch.setattr(orbits, "classical_index", counted)
+    assert monotonicity_holds("sl", 8)
+    poset = build_poset("sl", 8)
+    assert len(calls) <= len(poset.nodes) < len(poset.covers)
+
+
 def test_monotonicity_sweep():
     for n in range(2, 13):
         assert monotonicity_holds("sl", n)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dynkindex import orbits, sl2, verify
+from dynkindex import orbits, rootsystems, sl2, verify
 from dynkindex.sl2 import KINDS
 
 
@@ -74,3 +74,68 @@ def test_check_results_are_immutable():
     assert result.passed and type(result.failures) is tuple
     with pytest.raises(FrozenInstanceError):
         result.failures = ("added later",)
+
+
+def test_the_climb_reaches_the_highest_root_of_every_partner():
+    for partner in {verify._mckay_partner(lt) for lt in sl2.sweep_types(12)}:
+        climbed = verify._highest_root(rootsystems._cartan_matrix(partner), partner)
+        assert tuple(climbed) == rootsystems.build(partner).theta.coords, partner
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    [((2, -2), (-2, 2)), ((2, -3), (-3, 2))],
+    ids=["affine-A1", "hyperbolic"],
+)
+def test_the_climb_on_an_infinite_type_raises_and_ends(cartan):
+    # Affine A1 stops at the null root delta, dominant of norm 0; the
+    # hyperbolic matrix climbs without end until the height bound.
+    with pytest.raises(ArithmeticError, match="^X: the climb ends at no dominant root"):
+        verify._highest_root(cartan, "X")
+
+
+def test_mckay_builds_no_partner():
+    # Only the 38 swept types are built; A17, A19 and D11 are partners only.
+    rootsystems._build_cached.cache_clear()
+    assert verify.check_mckay(verify.VerifyConfig()).passed
+    assert rootsystems._build_cached.cache_info().currsize == len(list(sl2.sweep_types(10))) == 38
+
+
+def test_mckay_lists_a_partner_with_no_highest_root(monkeypatch):
+    monkeypatch.setattr(verify, "_cartan_matrix", lambda lt: ((2, -2), (-2, 2)))
+    result = verify.check_mckay(verify.VerifyConfig(max_classical_rank=2))
+    assert result.passed is False
+    assert result.failures == tuple(
+        f"{verify._mckay_partner(lt)}: the climb ends at no dominant root of norm 2"
+        for lt in sl2.sweep_types(2)
+    )
+
+
+class _RootSystemWith:
+    """A root system with some attributes replaced; the rest, methods
+    included, are read from the real one."""
+
+    def __init__(self, rs, **changed):
+        self.__dict__.update(changed, _rs=rs)
+
+    def __getattr__(self, name):
+        return getattr(self._rs, name)
+
+
+@pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
+def test_structure_sees_a_coroot_half_sum_off_in_one_coordinate(monkeypatch, last):
+    real = verify.build
+
+    def off_by_one(lt):
+        rs = real(lt)
+        rho_check = list(rs.rho_check)
+        rho_check[-1 if last else 0] += 1
+        return _RootSystemWith(rs, rho_check=tuple(rho_check))
+
+    monkeypatch.setattr(verify, "build", off_by_one)
+    result = verify.check_structure(verify.VerifyConfig(max_classical_rank=4))
+    assert result.passed is False
+    pairing = [f for f in result.failures if f.endswith("pairing is not the height")]
+    assert pairing == [
+        f"{lt}: coroot half-sum pairing is not the height" for lt in verify.all_types(4)
+    ]
