@@ -8,9 +8,11 @@ is additive over direct sums and always an integer.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import prod
 from operator import add, mul
 
@@ -51,17 +53,7 @@ def weyl_dimension(rs: RootSystem, weight) -> int:
     parent root's plus (lambda_i + 1) * d_i, so the result is exact for
     arbitrarily large weights.
     """
-    return _weyl_walk(rs, _check_weight(rs, weight))[0]
-
-
-def _weyl_walk(rs: RootSystem, weight: tuple[int, ...]) -> tuple[int, list[int]]:
-    # The dimension and the pairings r * (lambda + rho, gamma) over the
-    # positive roots, for a weight that _check_weight has already returned.
-    shifted = list(map(add, map(mul, weight, rs._int_norms), rs._int_norms))
-    pairings = rs._scaled_root_pairings(shifted)
-    dim, rem = divmod(prod(pairings), rs._rho_product)
-    _require(rem == 0, "Weyl dimension of {} in {} is not an integer", weight, rs.lie_type)
-    return dim, pairings
+    return dynkin_index(rs, weight).dimension
 
 
 def dynkin_index(rs: RootSystem, weight) -> RepIndexReport:
@@ -74,10 +66,44 @@ def dynkin_index(rs: RootSystem, weight) -> RepIndexReport:
     zero weight yields the trivial module: dimension 1, index 0.
     """
     weight = _check_weight(rs, weight)
-    dim, pairings = _weyl_walk(rs, weight)
+    shifted = list(map(add, map(mul, weight, rs._int_norms), rs._int_norms))
+    return _index_report(rs, weight, rs._scaled_root_pairings(shifted))
+
+
+def _index_report(rs: RootSystem, weight: tuple[int, ...], pairings: list[int]) -> RepIndexReport:
+    # The one exact kernel, from the pairings r * (lambda + rho, gamma) over
+    # the positive roots to the dimension and the index.
+    dim, rem = divmod(prod(pairings), rs._rho_product)
+    _require(rem == 0, "Weyl dimension of {} in {} is not an integer", weight, rs.lie_type)
     form = sum(map(mul, pairings, pairings)) - rs._rho_square_sum
     value = Fraction(dim * form, rs._index_denominator)
     return RepIndexReport(dim, value, value.denominator == 1)
+
+
+def _lattice_reports(rs: RootSystem, top: int) -> Iterator[tuple[tuple[int, ...], RepIndexReport]]:
+    """(weight, dynkin_index(rs, weight)) for every weight of
+    product(range(top), repeat=rank), in that order.
+
+    The pairings are affine in the weight: raising lambda_i by one adds
+    column i, root coordinate i times r * d_i, to the pairings of rho.  The
+    weights are walked as a prefix tree, depth first: a node at depth i
+    fixes lambda_1..lambda_i, and its children differ by column i, one
+    vector addition each.  The stack holds at most (top - 1) * rank nodes.
+    """
+    rank = rs.rank
+    columns = [
+        rs._scaled_root_pairings([d if j == i else 0 for j in range(rank)])
+        for i, d in enumerate(rs._int_norms)
+    ]
+    stack = [(0, rs._scaled_root_pairings(rs._int_norms))]
+    for weight in product(range(top), repeat=rank):
+        depth, pairings = stack.pop()
+        for level in range(depth, rank):  # down the first children to a leaf
+            siblings = [pairings]
+            for _ in range(1, top):
+                siblings.append(list(map(add, siblings[-1], columns[level])))
+            stack += [(level + 1, vector) for vector in reversed(siblings[1:])]
+        yield weight, _index_report(rs, weight, pairings)
 
 
 def embedding_index(ind_sub: Fraction, ind_ambient: Fraction) -> Fraction:

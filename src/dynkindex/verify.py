@@ -174,14 +174,12 @@ def check_monotonicity(config: VerifyConfig) -> Iterator[list[str]]:
 
 @_check("integrality", "irreducibles checked")
 def check_integrality(config: VerifyConfig) -> Iterator[list[str]]:
-    """Dynkin index of small-coordinate irreducibles is an integer."""
+    """Dynkin index of small-coordinate irreducibles is an integer; the
+    weights are walked as one lattice, with dynkin_index's leaf kernel."""
     for lt in all_types(min(config.max_classical_rank, 6)):
-        rs = build(lt)
-        for weight in product(range(3), repeat=rs.rank):
-            if not any(weight):
-                continue
-            report = reps.dynkin_index(rs, weight)
-            yield [] if report.is_integer else [f"{lt} {weight}: index {report.index}"]
+        for weight, report in reps._lattice_reports(build(lt), 3):
+            if any(weight):
+                yield [] if report.is_integer else [f"{lt} {weight}: index {report.index}"]
 
 
 @_check("minimal-orbit", "minimal orbits checked")

@@ -344,8 +344,8 @@ def test_table_closed_forms_are_true_equations(rank):
 # few good and bad values each (None leaves the flag out), then, one time in
 # four, a stray token.  Every number is at most 6, so no draw starts a large
 # build or poset.  verify always names the cheap routes check (a drawn --only
-# adds to it): without --only it sweeps the integrality of E8 irreducibles,
-# about 0.4 s a draw.
+# adds to it): without --only it would run every check, the integrality
+# sweep over the E6-E8 irreducibles among them, on every draw.
 _NUMBERS = ("-1", "0", "1", "2", "4", "5", "6", "x", None)
 _LISTS = ("4", "3,1", "2,2", "2,1,1", "3,2,1", "1,1,1,1", "4,3", "1,0,0", "1,0,0,0,0,0", "", None)
 _LABELS = ("A3", "sl4", "sp6", "so7", "E6", "G2", "Z9", None)

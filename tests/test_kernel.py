@@ -12,13 +12,14 @@ sums root by root.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dynkindex import rootsystems
-from dynkindex.reps import RepIndexReport, dynkin_index, weyl_dimension
+from dynkindex import rootsystems, verify
+from dynkindex.reps import RepIndexReport, _lattice_reports, dynkin_index, weyl_dimension
 from dynkindex.rootsystems import (
     LieType,
     RootSystem,
@@ -344,6 +345,7 @@ def test_root_system_is_not_written_after_construction():
     rs.form(rs.rho, rs.theta.coords)
     weyl_dimension(rs, (1, 1, 0))
     dynkin_index(rs, (0, 2, 1))
+    list(_lattice_reports(rs, 2))
     after = vars(rs)
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
@@ -356,3 +358,30 @@ def test_corrupted_weyl_denominator_is_caught():
     object.__setattr__(rs, "_rho_product", rs._rho_product * (dim + 1))
     with pytest.raises(ArithmeticError):
         weyl_dimension(rs, (1, 0))
+
+
+def test_corrupted_weyl_denominator_is_caught_by_the_lattice_batch():
+    rs = RootSystem(LieType("A", 2))
+    object.__setattr__(rs, "_rho_product", rs._rho_product * 2)
+    with pytest.raises(ArithmeticError):
+        list(_lattice_reports(rs, 3))
+
+
+def test_corrupted_index_denominator_fails_the_integrality_check(monkeypatch):
+    # Fresh objects with r^2 h* dim g doubled, served to the check as built.
+    systems = {}
+    for lt in all_types(2):
+        rs = systems[lt] = RootSystem(lt)
+        object.__setattr__(rs, "_index_denominator", 2 * rs._index_denominator)
+    monkeypatch.setattr(verify, "build", systems.__getitem__)
+    result = verify.check_integrality(verify.VerifyConfig(max_classical_rank=2))
+    # The failure lines of a dynkin_index call per nonzero weight, in order.
+    expected = []
+    for lt, rs in systems.items():
+        for weight in product(range(3), repeat=rs.rank):
+            report = dynkin_index(rs, weight)
+            if any(weight) and not report.is_integer:
+                expected.append(f"{lt} {weight}: index {report.index}")
+    assert expected
+    assert not result.passed
+    assert result.failures == tuple(expected)

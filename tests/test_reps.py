@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from dynkindex.reps import (
+    _lattice_reports,
     dynkin_index,
     embedding_index,
     simplest_embedding_index,
@@ -212,6 +213,26 @@ def test_integrality_of_small_weights():
                 continue
             report = dynkin_index(rs, weight)
             assert report.is_integer, (label, weight, report.index)
+
+
+def test_lattice_batch_equals_dynkin_index_on_the_default_set():
+    # Every weight the default integrality check sweeps, zero weights
+    # included, as (weight, report) pairs in the order of product.
+    count = 0
+    for lt in all_types(6):
+        rs = build(lt)
+        expected = [(w, dynkin_index(rs, w)) for w in product(range(3), repeat=rs.rank)]
+        assert list(_lattice_reports(rs, 3)) == expected, lt
+        count += len(expected)
+    assert count == 13917
+
+
+@pytest.mark.parametrize("top", [1, 2, 4])
+def test_lattice_batch_equals_dynkin_index_at_other_tops(top):
+    for label in ("A1", "G2", "B3", "D4"):
+        rs = build(label)
+        expected = [(w, dynkin_index(rs, w)) for w in product(range(top), repeat=rs.rank)]
+        assert list(_lattice_reports(rs, top)) == expected, label
 
 
 def test_integrality_exhaustive_up_to_rank_three():
