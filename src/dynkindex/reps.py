@@ -63,20 +63,23 @@ def dynkin_index(rs: RootSystem, weight) -> RepIndexReport:
     gives the dimension: as sum_{gamma > 0} (mu, gamma)^2 = h* (mu, mu) (the
     Killing form), the squared scaled pairings (lambda + rho, gamma) less the
     stored (rho, gamma) ones sum to r^2 h* (lambda, lambda + 2 rho).  The
-    zero weight yields the trivial module: dimension 1, index 0.
+    product and the square sum are this walk's own; ``_index_report`` divides.
+    The zero weight yields the trivial module: dimension 1, index 0.
     """
     weight = _check_weight(rs, weight)
     shifted = list(map(add, map(mul, weight, rs._int_norms), rs._int_norms))
-    return _index_report(rs, weight, rs._scaled_root_pairings(shifted))
+    pairings = rs._scaled_root_pairings(shifted)
+    return _index_report(rs, weight, prod(pairings), sum(map(mul, pairings, pairings)))
 
 
-def _index_report(rs: RootSystem, weight: tuple[int, ...], pairings: list[int]) -> RepIndexReport:
-    # The one exact kernel, from the pairings r * (lambda + rho, gamma) over
-    # the positive roots to the dimension and the index.
-    dim, rem = divmod(prod(pairings), rs._rho_product)
+def _index_report(
+    rs: RootSystem, weight: tuple[int, ...], product: int, square_sum: int
+) -> RepIndexReport:
+    # The divide step both index computations share: from the product and square
+    # sum of the r * (lambda + rho, gamma) to dimension and index, by rho's constants.
+    dim, rem = divmod(product, rs._rho_product)
     _require(rem == 0, "Weyl dimension of {} in {} is not an integer", weight, rs.lie_type)
-    form = sum(map(mul, pairings, pairings)) - rs._rho_square_sum
-    value = Fraction(dim * form, rs._index_denominator)
+    value = Fraction(dim * (square_sum - rs._rho_square_sum), rs._index_denominator)
     return RepIndexReport(dim, value, value.denominator == 1)
 
 
@@ -84,26 +87,52 @@ def _lattice_reports(rs: RootSystem, top: int) -> Iterator[tuple[tuple[int, ...]
     """(weight, dynkin_index(rs, weight)) for every weight of
     product(range(top), repeat=rank), in that order.
 
-    The pairings are affine in the weight: raising lambda_i by one adds
-    column i, root coordinate i times r * d_i, to the pairings of rho.  The
-    weights are walked as a prefix tree, depth first: a node at depth i
-    fixes lambda_1..lambda_i, and its children differ by column i, one
-    vector addition each.  The stack holds at most (top - 1) * rank nodes.
+    The pairings p = r (lambda + rho, gamma) are affine in the weight:
+    raising lambda_i by one adds column c_i, root coordinate i times r d_i.
+    The weights are walked as a prefix tree, depth first, each node at depth
+    rank - 1 emitting its leaves in one loop.  A node multiplies in only the
+    pairings its level i fixes, of the roots whose last nonzero coordinate
+    is i, and passes the partial product down.  S = sum p^2 is a quadratic
+    form in the weight, carried with D_j = p . c_j: an edge of level i adds
+    2 D_i + G_ii to S and row i of the column Gram matrix G_ij = c_i . c_j
+    to D.  ``dynkin_index`` squares its own pairings, so it shares only
+    ``_index_report`` and the stored constants with this walk.
     """
     rank = rs.rank
     columns = [
         rs._scaled_root_pairings([d if j == i else 0 for j in range(rank)])
         for i, d in enumerate(rs._int_norms)
     ]
-    stack = [(0, rs._scaled_root_pairings(rs._int_norms))]
-    for weight in product(range(top), repeat=rank):
-        depth, pairings = stack.pop()
-        for level in range(depth, rank):  # down the first children to a leaf
-            siblings = [pairings]
-            for _ in range(1, top):
-                siblings.append(list(map(add, siblings[-1], columns[level])))
-            stack += [(level + 1, vector) for vector in reversed(siblings[1:])]
-        yield weight, _index_report(rs, weight, pairings)
+    gram = [[sum(map(mul, a, b)) for b in columns] for a in columns]
+    # Level i fixes the first widths[i] pairings of its tail, passes the rest down.
+    last = [max(i for i, c in enumerate(columns) if c[g]) for g in range(len(columns[0]))]
+    order = sorted(range(len(last)), key=last.__getitem__)
+    widths = [last.count(i) for i in range(rank)]
+    tails = [[c[g] for g in order if last[g] >= i] for i, c in enumerate(columns)]
+    rho = rs._scaled_root_pairings(rs._int_norms)
+    dots = [sum(map(mul, rho, c)) for c in columns]
+    stack = [(0, 1, rs._rho_square_sum, dots, [rho[g] for g in order])]
+    for prefix in product(range(top), repeat=rank - 1):
+        depth, partial, square, dots, tail = stack.pop()
+        for level in range(depth, rank - 1):  # down the first children to depth rank - 1
+            column, width, row = tails[level], widths[level], gram[level]
+            nodes = []
+            for value in range(top):
+                if value:
+                    tail = list(map(add, tail, column))
+                    square += 2 * dots[level] + row[level]
+                    dots = list(map(add, dots, row))
+                nodes.append((level + 1, partial * prod(tail[:width]), square, dots, tail[width:]))
+            stack += reversed(nodes[1:])
+            _, partial, square, dots, tail = nodes[0]
+        column, step, dot = tails[-1], gram[-1][-1], dots[-1]
+        for value in range(top):
+            if value:
+                tail = list(map(add, tail, column))
+                square += 2 * dot + step
+                dot += step
+            weight = prefix + (value,)
+            yield weight, _index_report(rs, weight, partial * prod(tail), square)
 
 
 def embedding_index(ind_sub: Fraction, ind_ambient: Fraction) -> Fraction:

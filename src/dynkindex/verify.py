@@ -175,7 +175,7 @@ def check_monotonicity(config: VerifyConfig) -> Iterator[list[str]]:
 @_check("integrality", "irreducibles checked")
 def check_integrality(config: VerifyConfig) -> Iterator[list[str]]:
     """Dynkin index of small-coordinate irreducibles is an integer; the
-    weights are walked as one lattice, with dynkin_index's leaf kernel."""
+    weights are walked as one lattice, with dynkin_index's divide step."""
     for lt in all_types(min(config.max_classical_rank, 6)):
         for weight, report in reps._lattice_reports(build(lt), 3):
             if any(weight):

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from dynkindex import reps
 from dynkindex.reps import (
     _lattice_reports,
     dynkin_index,
@@ -15,7 +16,14 @@ from dynkindex.reps import (
     simplest_representation,
     weyl_dimension,
 )
-from dynkindex.rootsystems import EXCEPTIONAL, LieType, all_types, build, classical_type
+from dynkindex.rootsystems import (
+    EXCEPTIONAL,
+    LieType,
+    RootSystem,
+    all_types,
+    build,
+    classical_type,
+)
 from dynkindex.sl2 import branch_adjoint, module_index
 
 
@@ -227,12 +235,40 @@ def test_lattice_batch_equals_dynkin_index_on_the_default_set():
     assert count == 13917
 
 
-@pytest.mark.parametrize("top", [1, 2, 4])
+@pytest.mark.parametrize("top", [0, 1, 2, 4])
 def test_lattice_batch_equals_dynkin_index_at_other_tops(top):
-    for label in ("A1", "G2", "B3", "D4"):
+    # Top 0 yields nothing, also at rank 1, where the walk's prefixes are
+    # one empty tuple.  F4 and E6 at top 4 reach the leaf value 3, and F4's
+    # root columns have a Gram matrix with two root lengths.
+    for label in ("A1", "G2", "B3", "D4", "F4", "E6"):
         rs = build(label)
         expected = [(w, dynkin_index(rs, w)) for w in product(range(top), repeat=rs.rank)]
+        assert len(expected) == top**rs.rank
         assert list(_lattice_reports(rs, top)) == expected, label
+
+
+def test_lattice_batch_is_a_computation_of_its_own(monkeypatch):
+    # The equality tests above compare two computations only while the
+    # batch neither calls dynkin_index nor walks the roots per weight: it
+    # walks them once for rho and once for each column.
+    def refuse(*args):
+        raise AssertionError("the lattice batch called dynkin_index")
+
+    walks = []
+    scaled_root_pairings = RootSystem._scaled_root_pairings
+
+    def counted(rs, shifted):
+        walks.append(rs)
+        return scaled_root_pairings(rs, shifted)
+
+    monkeypatch.setattr(reps, "dynkin_index", refuse)
+    monkeypatch.setattr(RootSystem, "_scaled_root_pairings", counted)
+    for label in ("B3", "E6"):
+        rs = build(label)
+        walks.clear()
+        reports = list(_lattice_reports(rs, 3))
+        assert len(reports) == 3**rs.rank, label
+        assert 0 < len(walks) <= rs.rank + 1, label
 
 
 def test_integrality_exhaustive_up_to_rank_three():
