@@ -84,10 +84,12 @@ class OrbitPoset:
     n: int
     nodes: tuple[Partition, ...]
     covers: tuple[tuple[Partition, Partition], ...]  # (upper, lower) pairs
+    indices: tuple[Fraction, ...]  # each node's sl2-index; 0 for the zero orbit
 
 
 def build_poset(kind: str, n: int) -> OrbitPoset:
-    """Admissible partitions of n under dominance, with covering relations.
+    """Admissible partitions of n under dominance, with covering relations
+    and the index of each node.
 
     Reverse-lexicographic order is a linear extension of dominance, so every
     node below node j comes after it.  Filling the nodes from the last one
@@ -110,31 +112,24 @@ def build_poset(kind: str, n: int) -> OrbitPoset:
     if kind == "sl":
         move_edges = {(p, m) for p in nodes for m in degeneration_moves(p)}
         _require(set(covers) == move_edges, "dominance covers are not the single moves")
-    return OrbitPoset(kind, n, tuple(nodes), tuple(covers))
+    indices = tuple(classical_index(kind, p) if p[0] > 1 else Fraction(0) for p in nodes)
+    return OrbitPoset(kind, n, tuple(nodes), tuple(covers), indices)
 
 
-def orbit_index(kind: str, p: Partition) -> Fraction:
-    """Index of the orbit's sl2; zero for the zero orbit (poset bottom)."""
-    if p[0] < 2:
-        return Fraction(0)
-    return classical_index(kind, p)
-
-
-def monotonicity_holds(kind: str, n: int) -> bool:
-    """Strict index decrease along every cover (orbit_index, so the zero
-    orbit counts as 0)."""
-    poset = build_poset(kind, n)
-    index = {p: orbit_index(kind, p) for p in poset.nodes}
+def monotonicity_holds(poset: OrbitPoset) -> bool:
+    """Strict index decrease along every cover."""
+    index = dict(zip(poset.nodes, poset.indices))
     return all(index[lower] < index[upper] for upper, lower in poset.covers)
 
 
-def comparable_pairs_strict(kind: str, n: int) -> bool:
+def comparable_pairs_strict(poset: OrbitPoset) -> bool:
     """The stronger consequence: strict inequality for every comparable pair.
 
-    A node can only dominate nodes after it in reverse-lexicographic order.
+    The pairs come from a dominance scan of its own, not from the covers, so
+    the check does not rest on how they were found.  A node can only
+    dominate nodes after it in reverse-lexicographic order.
     """
-    nodes = enumerate_orbits(kind, n)
-    index = [orbit_index(kind, p) for p in nodes]
+    nodes, index = poset.nodes, poset.indices
     return all(
         index[k] < index[j]
         for j, p in enumerate(nodes)
@@ -153,8 +148,7 @@ def _label(p: Partition) -> str:
 def poset_dot(poset: OrbitPoset) -> str:
     """Graphviz DOT rendering, one node per orbit labelled with its index."""
     lines = [f'digraph "{poset.kind}_{poset.n}_orbits" {{', "  rankdir=TB;"]
-    for p in poset.nodes:
-        idx = orbit_index(poset.kind, p)
+    for p, idx in zip(poset.nodes, poset.indices):
         lines.append(f'  "{_label(p)}" [label="({_label(p)})\\nindex {idx}"];')
     for upper, lower in poset.covers:
         lines.append(f'  "{_label(upper)}" -> "{_label(lower)}";')
@@ -168,8 +162,8 @@ def poset_payload(poset: OrbitPoset) -> dict:
         "kind": poset.kind,
         "n": poset.n,
         "nodes": [
-            {"partition": list(p), "index": str(orbit_index(poset.kind, p))}
-            for p in poset.nodes
+            {"partition": list(p), "index": str(idx)}
+            for p, idx in zip(poset.nodes, poset.indices)
         ],
         "covers": [
             {"upper": list(u), "lower": list(l)} for u, l in poset.covers

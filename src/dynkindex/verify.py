@@ -164,10 +164,11 @@ def check_identities(config: VerifyConfig) -> Iterator[list[str]]:
 def check_monotonicity(config: VerifyConfig) -> Iterator[list[str]]:
     """Strict index decrease along covers, and across comparable pairs."""
     for kind, n in _orbit_sizes(config.max_partition_size):
+        poset = orbits.build_poset(kind, n)
         failures = []
-        if not orbits.monotonicity_holds(kind, n):
+        if not orbits.monotonicity_holds(poset):
             failures.append(f"{kind} n={n}: cover with non-decreasing index")
-        if n <= 10 and not orbits.comparable_pairs_strict(kind, n):
+        if n <= 10 and not orbits.comparable_pairs_strict(poset):
             failures.append(f"{kind} n={n}: comparable pair out of order")
         yield failures
 

@@ -13,6 +13,7 @@ import pytest
 
 from dynkindex.identities import sweep
 from dynkindex.orbits import (
+    build_poset,
     comparable_pairs_strict,
     enumerate_orbits,
     monotonicity_holds,
@@ -141,9 +142,10 @@ def test_criterion_6_monotonicity():
         for n in range(2, 13):
             if kind == "sp" and n % 2:
                 continue
-            assert monotonicity_holds(kind, n), (kind, n)
+            poset = build_poset(kind, n)
+            assert monotonicity_holds(poset), (kind, n)
             if n <= 10:
-                assert comparable_pairs_strict(kind, n), (kind, n)
+                assert comparable_pairs_strict(poset), (kind, n)
     _report(6, "index strictly decreases along covers (n <= 12) and chains (n <= 10)")
 
 

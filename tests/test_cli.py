@@ -559,6 +559,81 @@ def test_golden_cli_output(capsys, argv, code, digest):
     assert (got_code, stdout_digest(out)) == (code, digest)
 
 
+# sha256 of `poset` stdout for every kind and admissible n <= 12 in both
+# formats, recorded before each poset carried its nodes' indices.
+GOLDEN_POSET = [
+    (("sl", 1, "dot"), "14b84296c3be0449e0ea2f507a9a4b22a9d33bc520da0ca6468169066299cc4a"),
+    (("sl", 1, "json"), "34c4d8db2689ccf0247b959bc3d676414624c93b26d6de613befb3c042d72d23"),
+    (("sl", 2, "dot"), "7c38714c2c4b6ddd55e0ffdb9759081c0ab2f9353f02d00b47332ced30396661"),
+    (("sl", 2, "json"), "4bad2bbadcda3217351ec524443c63bb178b9010986d8687f0dfabf1b2a88d47"),
+    (("sl", 3, "dot"), "72f504a37fdff72ab9ee9823ecc6bdffbfbb9abbcad3dd2abe234db1abd2b3f4"),
+    (("sl", 3, "json"), "6e9d39deea30005b37e453aac7792d50fd25d7822cf77f66cc1cbaec4e8c975c"),
+    (("sl", 4, "dot"), "deda2cb8792ff5dd7a8702c6e018fc4f2dfa7a260a2b758627ed460578c33b0e"),
+    (("sl", 4, "json"), "374038ee72fb43d68f76c2e2c8f2253721a17fb346a887f11e9b5e40407ba95f"),
+    (("sl", 5, "dot"), "345d5220cf86c112b90aa29f0fe7e37878346b4729f3f3bc202af82f4bb725bd"),
+    (("sl", 5, "json"), "794fbe6d302bfbcbcd31c275422a1c7769947870a3096ddda56de0d3ebdd310d"),
+    (("sl", 6, "dot"), "5e72a104e3534df5ad412efda1e5f9796f41560d19331f83f22140bef76924f1"),
+    (("sl", 6, "json"), "968f01971c7323cecf17852c585ae42b9a74b131058d07cff339b78245212fc1"),
+    (("sl", 7, "dot"), "4cd1df2ba94f8b0e273a171178d50d7ec4dbdbee64b93619fb9deeeab31aa0e5"),
+    (("sl", 7, "json"), "be6e114a4f2f593cccda84fa4549ef4303583bee55c93ba568730a1eadaa7b68"),
+    (("sl", 8, "dot"), "eb937aedd2539d288db9919d5e7eb9892ff0d362b32b0b8eebce98aec50920e0"),
+    (("sl", 8, "json"), "3e841cdb32d14870168c74cc23739812bbbdbd19f8bf0f4aece02bb35d03d723"),
+    (("sl", 9, "dot"), "6c081ea9cd487e471c09cf1f95de5166e52b6248d504419763a823cf443ec583"),
+    (("sl", 9, "json"), "82354daa1d7c7e4dfb6d6f8fce902bb803d5b55f6d44376cddc1ce1ab86986ca"),
+    (("sl", 10, "dot"), "e9cd0b93262add17a8713113de72912488ca10b676ebc8299b3455d58f4ebdd6"),
+    (("sl", 10, "json"), "c694cabc39e372bb04917f3ebcdaf9ec0cbd02390421f0d281ebf54d4ccaebba"),
+    (("sl", 11, "dot"), "c995fc5a00afcbbfe22d42bad3ac2dfc20e799c8a22449927070408359036380"),
+    (("sl", 11, "json"), "9c163ae299c7305ee254a35014ae00733e925d464d04094bbc2295180762aba6"),
+    (("sl", 12, "dot"), "cc1a4809e1179d3f02504b9ef0f4f86c5acf3ce8c2722d3a515f2dfdc96820de"),
+    (("sl", 12, "json"), "c2aa7023eefc1c73fcbfd4ba5e7a83442e8ac55c6fc230e0313334e23960ec99"),
+    (("sp", 2, "dot"), "5aa2e69236eb9678643c230d20b4a9c77095f5f87ac532f700594397b3d55e5a"),
+    (("sp", 2, "json"), "5f66145e87c3135eecda60ae78ba96aed88e8daa7486ad27f552bcd0407c1af3"),
+    (("sp", 4, "dot"), "ce0e0156a919221856fab7ab7b8587e75dddcc3c8516c50ea02c0631bca3b27f"),
+    (("sp", 4, "json"), "ee6089c76001820ff558cb66622c80ad180a3c72d52816870b3e3dcb453d6a6d"),
+    (("sp", 6, "dot"), "85a331bc9933398b5880ec0fbb181552bddde04c3c613e0b4065cd8193d0cb43"),
+    (("sp", 6, "json"), "e27b1362e0c00b959522fd86e1c4be60d45dfed3dc73ca5be7a648690ac69703"),
+    (("sp", 8, "dot"), "4856f0799c2156bc00180d53cf7593b1d32a70401f3ca649351164c3b647f1a5"),
+    (("sp", 8, "json"), "041fb45508834126b13a965d2b63ad3de28306762694d827fab57f0e0b217828"),
+    (("sp", 10, "dot"), "c0da16d416afeb6eb9d8d72fe4c251b5759aa616f0857eb5bc09bfc92c470364"),
+    (("sp", 10, "json"), "fd44631e55098d4ba41a83ac47029062066ac56d85f47be998a2bf4a6ab298a6"),
+    (("sp", 12, "dot"), "d30d60d7719918a34a6bfd883ae8f842f2786f133a23b93b5f27d93fbb937270"),
+    (("sp", 12, "json"), "1087da870bf798efdd4baf8d79ed5f0d0b862b3170a1d03d1f1951c830b8e9c1"),
+    (("so", 1, "dot"), "ca0fea59b4b47f720343aa753fd73f530f1d089c4ff0511306bed3133a1819b2"),
+    (("so", 1, "json"), "a65dfc3471b1d53122475c591aba9641a1c03f02244ff8d565f90ab2e450c114"),
+    (("so", 2, "dot"), "df7c5451ef74618af8b7337fc38d0e527104649e6de62e5038891c62b8779754"),
+    (("so", 2, "json"), "ab758f246295386a2b5239a9bfc2b0fa2c391922bd35c9cb90e94db1878f93b5"),
+    (("so", 3, "dot"), "8a7a653dcdcce689a3fbf733f1d68dfff930cc05477149924f20bb669f3635a3"),
+    (("so", 3, "json"), "b7528e93203c43b77065e35829cdf5736bccc68b634e08a02eab1a27c10003e0"),
+    (("so", 4, "dot"), "7d5f00259ade68f3235cdb39009a5f516ade26b2c9048be963b4a04798aa3c69"),
+    (("so", 4, "json"), "872c1a6b2aea57d8175ffb3c81a97c4810014e301b282de3adb06f377a136f21"),
+    (("so", 5, "dot"), "9b88053588538bbe78a2b58ac3de1d2c73664c2ea42b0ad0c690d741b574b0e3"),
+    (("so", 5, "json"), "71cde87bb29603b442a08fea2c382e0d3943de3b51fbfe868b35847af7f9a2b9"),
+    (("so", 6, "dot"), "e8637ffd1d0616afda9c4add6d85ca0f5382afac5f46d960b06c79e30b675ece"),
+    (("so", 6, "json"), "e77099cbfc4d308f45588d29f21308539f9966d2d2b5ea380aea2ae787221444"),
+    (("so", 7, "dot"), "00b11f5488fd4d9b8595a527138b7842286e5e4168ff7b14d3b35358ced30468"),
+    (("so", 7, "json"), "eff3372d395207913efbabc57a3aa75562fbe65bca4d92661bf86762279f26df"),
+    (("so", 8, "dot"), "6246d6f6f08ad1055132c4d724a16b7063a7bc6b425a60dabe691bcd6d036c23"),
+    (("so", 8, "json"), "4c1606f726fcab1ef5ddb8b18b26d3ac941d895aae58b6ce96621dc6b9a0e536"),
+    (("so", 9, "dot"), "4433b89c0d926a79f179f9d90e47d1c9c58b7bc63e804e6373f7059e735362d8"),
+    (("so", 9, "json"), "3f9fd15242847cdf776cc4c1bc37b1ad69bf3051d11242558dda84211bf54129"),
+    (("so", 10, "dot"), "5fa88b4e3caea374b3efd658e70c8b784abb4ff9957376fa7614fa3afc046c46"),
+    (("so", 10, "json"), "83c5bd96a4da2fb72d18c4bbc8c474770f67f09d2a60655513b45516bfdd157f"),
+    (("so", 11, "dot"), "485681f0ac2cb2670e109af31ab3047377779f68b9fea2f2b8371e5ea8fee895"),
+    (("so", 11, "json"), "4feb0cdac20065dabafee5b36216464eaf8a1c41993de8bad060a3af8ce0b566"),
+    (("so", 12, "dot"), "7c81dcb0e25e3bda3257e6b49dc30deaccec8b585e0a0d196d96907647bddaf7"),
+    (("so", 12, "json"), "e2acee494db97dbd848f78c7663ed89965f44a7ee58208ce8bd451b517a298a3"),
+]
+
+
+@pytest.mark.parametrize(
+    "case,digest", GOLDEN_POSET, ids=["{} n={} {}".format(*c[0]) for c in GOLDEN_POSET]
+)
+def test_golden_poset_output(capsys, case, digest):
+    kind, n, fmt = case
+    code, out, _ = run(capsys, "poset", "--kind", kind, "--n", str(n), "--format", fmt)
+    assert (code, stdout_digest(out)) == (0, digest)
+
+
 # argparse refusals (exit 2 with usage on stderr) sent between the goldens.
 USAGE_ERRORS = [
     ("bogus",),

@@ -1,5 +1,8 @@
 """Orbit closure order and index monotonicity."""
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
 from dynkindex import orbits
@@ -10,7 +13,6 @@ from dynkindex.orbits import (
     dominance_leq,
     enumerate_orbits,
     monotonicity_holds,
-    orbit_index,
     partitions_of,
     poset_dot,
     poset_payload,
@@ -92,8 +94,8 @@ def test_chain_poset():
         ((2, 2), (2, 1, 1)),
         ((2, 1, 1), (1, 1, 1, 1)),
     )
-    indices = [orbit_index("sl", p) for p in poset.nodes]
-    assert indices == [10, 4, 2, 1, 0]
+    assert poset.indices == (10, 4, 2, 1, 0)
+    assert type(poset.indices[-1]) is Fraction
 
 
 def test_incomparable_pair_in_sl6():
@@ -112,9 +114,9 @@ def test_sp2_poset():
 
 
 def test_monotonicity_small_cases():
-    assert monotonicity_holds("sl", 4)
-    assert monotonicity_holds("sp", 6)
-    assert monotonicity_holds("so", 8)
+    assert monotonicity_holds(build_poset("sl", 4))
+    assert monotonicity_holds(build_poset("sp", 6))
+    assert monotonicity_holds(build_poset("so", 8))
 
 
 def test_monotonicity_evaluates_each_orbit_index_once(monkeypatch):
@@ -126,25 +128,39 @@ def test_monotonicity_evaluates_each_orbit_index_once(monkeypatch):
         return real(kind, p)
 
     monkeypatch.setattr(orbits, "classical_index", counted)
-    assert monotonicity_holds("sl", 8)
     poset = build_poset("sl", 8)
+    assert monotonicity_holds(poset)
+    assert comparable_pairs_strict(poset)
     assert len(calls) <= len(poset.nodes) < len(poset.covers)
 
 
 def test_monotonicity_sweep():
     for n in range(2, 13):
-        assert monotonicity_holds("sl", n)
-        assert monotonicity_holds("so", n)
+        assert monotonicity_holds(build_poset("sl", n))
+        assert monotonicity_holds(build_poset("so", n))
         if n % 2 == 0:
-            assert monotonicity_holds("sp", n)
+            assert monotonicity_holds(build_poset("sp", n))
 
 
 def test_comparable_pairs_sweep():
     for n in range(2, 11):
-        assert comparable_pairs_strict("sl", n)
-        assert comparable_pairs_strict("so", n)
+        assert comparable_pairs_strict(build_poset("sl", n))
+        assert comparable_pairs_strict(build_poset("so", n))
         if n % 2 == 0:
-            assert comparable_pairs_strict("sp", n)
+            assert comparable_pairs_strict(build_poset("sp", n))
+
+
+def test_comparable_pairs_scan_dominance_not_covers():
+    # With the covers gone and 3,1,1,1 lifted above 3,2,1, which dominates
+    # it, only a scan of dominance itself still finds the pair.
+    poset = build_poset("sl", 6)
+    indices = list(poset.indices)
+    upper, lower = poset.nodes.index((3, 2, 1)), poset.nodes.index((3, 1, 1, 1))
+    assert dominance_leq(poset.nodes[lower], poset.nodes[upper])
+    indices[lower] = indices[upper] + 1
+    broken = dataclasses.replace(poset, covers=(), indices=tuple(indices))
+    assert monotonicity_holds(broken)  # no cover left to check
+    assert not comparable_pairs_strict(broken)
 
 
 def test_moves_match_dominance_for_sl():
@@ -179,7 +195,7 @@ def test_move_that_is_not_a_cover_is_refused(monkeypatch):
 def test_very_even_partition_handled_once():
     nodes = enumerate_orbits("so", 8)
     assert nodes.count((4, 4)) == 1
-    assert monotonicity_holds("so", 8)
+    assert monotonicity_holds(build_poset("so", 8))
 
 
 def test_dot_export():

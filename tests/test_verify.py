@@ -1,6 +1,7 @@
 """Verify checks driven into failure through the library they sweep, and
 the immutability of their results."""
 
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -25,8 +26,8 @@ def test_minimal_orbit_reports_every_broken_sl_case(monkeypatch):
 
 
 def test_monotonicity_reports_both_failures_per_poset(monkeypatch):
-    monkeypatch.setattr(orbits, "monotonicity_holds", lambda kind, n: False)
-    monkeypatch.setattr(orbits, "comparable_pairs_strict", lambda kind, n: False)
+    monkeypatch.setattr(orbits, "monotonicity_holds", lambda poset: False)
+    monkeypatch.setattr(orbits, "comparable_pairs_strict", lambda poset: False)
     result = verify.check_monotonicity(verify.VerifyConfig())
     expected = []
     for kind in KINDS:
@@ -41,6 +42,28 @@ def test_monotonicity_reports_both_failures_per_poset(monkeypatch):
     assert result.detail == "28 posets checked"
     assert result.failures == tuple(expected)
     assert len(expected) == 51
+
+
+def test_monotonicity_builds_each_poset_once_and_each_index_once(monkeypatch):
+    sizes = list(verify._orbit_sizes(verify.VerifyConfig().max_partition_size))
+    nodes = sum(len(orbits.enumerate_orbits(kind, n)) for kind, n in sizes)
+    calls = Counter()
+    real_index, real_orbits = orbits.classical_index, orbits.enumerate_orbits
+
+    def counted_index(kind, p):
+        calls["classical_index"] += 1
+        return real_index(kind, p)
+
+    def counted_orbits(kind, n):
+        calls["enumerate_orbits"] += 1
+        return real_orbits(kind, n)
+
+    monkeypatch.setattr(orbits, "classical_index", counted_index)
+    monkeypatch.setattr(orbits, "enumerate_orbits", counted_orbits)
+    result = verify.check_monotonicity(verify.VerifyConfig())
+    assert result.passed and result.detail == "28 posets checked"
+    assert calls["enumerate_orbits"] <= len(sizes) == 28
+    assert calls["classical_index"] <= nodes == 472
 
 
 def test_principal_names_every_route_of_a_disagreement(monkeypatch):
