@@ -15,6 +15,7 @@ import csv
 import json
 import re
 import sys
+from dataclasses import asdict, fields
 from fractions import Fraction
 from functools import cache, partial
 
@@ -43,12 +44,9 @@ def parse_algebra(label: str) -> tuple[LieType, str | None, int | None]:
 
 def parse_parts(text: str) -> tuple[int, ...]:
     try:
-        values = [int(x) for x in text.split(",") if x.strip() != ""]
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse integer list {text!r}") from None
-    if not values:
-        raise ValueError("empty integer list")
-    return tuple(values)
 
 
 # -- table ---------------------------------------------------------------------
@@ -202,9 +200,9 @@ def _emit(payload: dict, fmt: str, out, rows=_field_rows, text=None) -> None:
 
 # -- config files ----------------------------------------------------------------
 
-# Config key -> VerifyConfig field.  A bound's key, and its flag after "--", is
+# Config key -> VerifyConfig field.  A field's key, and its flag after "--", is
 # the field name with dashes.
-_CONFIG_KEYS = {name.replace("_", "-"): name for name in BOUNDS} | {"only": "families"}
+_CONFIG_KEYS = {f.name.replace("_", "-"): f.name for f in fields(VerifyConfig)}
 
 
 def read_config_file(path: str) -> dict:
@@ -224,7 +222,7 @@ def read_config_file(path: str) -> dict:
                     f"expected one of {', '.join(_CONFIG_KEYS)}"
                 )
             field = _CONFIG_KEYS[key]
-            if field == "families":
+            if field == "only":
                 values[field] = tuple(x.strip() for x in value.split(",") if x.strip())
             else:
                 try:
@@ -264,18 +262,10 @@ def _cmd_verify(args, out) -> int:
     for field in _CONFIG_KEYS.values():  # flags override the file
         value = getattr(args, field)
         if value is not None:
-            options[field] = tuple(value) if field == "families" else value
+            options[field] = tuple(value) if field == "only" else value
     results = run_checks(VerifyConfig(**options))
     payload = {
-        "checks": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "detail": r.detail,
-                "counterexamples": r.failures,
-            }
-            for r in results
-        ],
+        "checks": [asdict(r) for r in results],
         "passed": all(r.passed for r in results),
     }
     _emit(payload, args.format, out, text=partial(_verify_text, payload))
@@ -334,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--only",
         action="append",
-        dest="families",
         metavar="CHECK",
         help=f"restrict to named checks ({', '.join(CHECKS)})",
     )

@@ -445,20 +445,19 @@ def difference_observations(max_classical_rank: int) -> list[DifferenceObservati
     return [_observe(lt) for lt in sweep_types(max_classical_rank)]
 
 
-def difference_observations_ok(observations) -> tuple[bool, list[str]]:
-    """Check every empirical claim about D; returns (ok, failure messages)."""
+def difference_failures(obs: DifferenceObservation) -> list[str]:
+    """A message for each empirical claim about D that obs breaks."""
+    label, d, n = obs.label, obs.d, obs.rank
+    expect_eq = label in _EQUALITY_TYPES
     failures = []
-    for obs in observations:
-        label, d, n = obs.label, obs.d, obs.rank
-        expect_eq = label in _EQUALITY_TYPES
-        for bound, factor in (("2h", 2 * obs.h), ("3b", 3 * obs.b)):
-            if d > factor * n:
-                failures.append(f"{label}: D > {bound}*rank")
-            if (d == factor * n) != expect_eq:
-                failures.append(f"{label}: equality with {bound}*rank mismatch")
-        ratio = d / (obs.b * n)
-        if label[0] in _RATIO_CONSTANT and ratio != _RATIO_CONSTANT[label[0]]:
-            failures.append(f"{label}: ratio {ratio} off series constant")
-        if obs.h % 2 == 0 and (d / n).denominator != 1:
-            failures.append(f"{label}: D/rank not integral though h is even")
-    return not failures, failures
+    for bound, factor in (("2h", 2 * obs.h), ("3b", 3 * obs.b)):
+        if d > factor * n:
+            failures.append(f"{label}: D > {bound}*rank")
+        if (d == factor * n) != expect_eq:
+            failures.append(f"{label}: equality with {bound}*rank mismatch")
+    ratio = d / (obs.b * n)
+    if label[0] in _RATIO_CONSTANT and ratio != _RATIO_CONSTANT[label[0]]:
+        failures.append(f"{label}: ratio {ratio} off series constant")
+    if obs.h % 2 == 0 and (d / n).denominator != 1:
+        failures.append(f"{label}: D/rank not integral though h is even")
+    return failures

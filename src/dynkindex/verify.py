@@ -9,7 +9,7 @@ failure messages, an empty list when the case holds.  The ``_check(name,
 counted)`` decorator turns it into a function from ``VerifyConfig`` to
 ``CheckResult`` and registers that function in ``CHECKS`` under ``name``, in
 the order of definition; the result's detail is ``"<cases> <counted>"`` and
-its failures are listed in sweep order.
+its counterexamples are listed in sweep order.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ from .rootsystems import LieType, _cartan_matrix, _require, all_types, build, cl
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """The sweep bounds, each also a CLI flag and config key, and the checks."""
+    """The sweep bounds and the checks to run; each field is also a CLI flag
+    and a config key, named as the field with dashes."""
 
     max_classical_rank: int = 10
     max_partition_size: int = 12
     max_identity_n: int = 12
-    families: tuple[str, ...] | None = None  # None means every check
+    only: tuple[str, ...] | None = None  # None means every check
 
     def __post_init__(self) -> None:
         for name in BOUNDS:
@@ -39,7 +40,7 @@ class VerifyConfig:
                 raise ValueError(f"{name} must be at least 2")
 
 
-BOUNDS = tuple(f.name for f in fields(VerifyConfig) if f.name != "families")
+BOUNDS = tuple(f.name for f in fields(VerifyConfig) if f.name != "only")
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    failures: tuple[str, ...] = ()
+    counterexamples: tuple[str, ...] = ()
 
 
 Sweep = Callable[[VerifyConfig], Iterator[list[str]]]
@@ -204,7 +205,7 @@ def check_difference_bounds(config: VerifyConfig) -> Iterator[list[str]]:
         except (ValueError, ArithmeticError) as exc:
             yield [str(exc)]  # the messages of sl2 name the type
         else:
-            yield sl2.difference_observations_ok([observation])[1]
+            yield sl2.difference_failures(observation)
 
 
 def _mckay_partner(lt: LieType) -> LieType:
@@ -250,7 +251,7 @@ def check_mckay(config: VerifyConfig) -> Iterator[list[str]]:
 def run_checks(config: VerifyConfig) -> list[CheckResult]:
     """Run the named checks (every check by default), each once, in the
     order of first mention."""
-    names = tuple(dict.fromkeys(config.families)) if config.families else tuple(CHECKS)
+    names = tuple(dict.fromkeys(config.only)) if config.only else tuple(CHECKS)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ValueError(

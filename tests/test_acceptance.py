@@ -23,8 +23,8 @@ from dynkindex.rootsystems import EXCEPTIONAL, LieType, build
 from dynkindex.sl2 import (
     ab_closed_form,
     classical_index,
+    difference_failures,
     difference_observations,
-    difference_observations_ok,
     index_via_adjoint,
     mckay_data,
     principal_index,
@@ -171,8 +171,8 @@ def test_criterion_7_structural_invariants():
 
 def test_criterion_8_difference_bounds_to_rank_50():
     observations = difference_observations(50)
-    ok, failures = difference_observations_ok(observations)
-    assert ok, failures
+    failures = [f for obs in observations for f in difference_failures(obs)]
+    assert failures == []
     equalities = {o.label for o in observations if o.d in (2 * o.h * o.rank, 3 * o.b * o.rank)}
     assert equalities == {"G2", "F4", "E8"}
     _report(8, f"difference bounds and ratios hold for {len(observations)} types")

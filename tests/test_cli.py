@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -517,6 +518,40 @@ def test_config_reader_rejects_unknown_key(tmp_path):
     cfg.write_text("surprise = 1\n")
     with pytest.raises(ValueError):
         read_config_file(str(cfg))
+
+
+@pytest.mark.parametrize("argv", [
+    ("rep-index", "--algebra", "G2", "--weight", "1,,0"),
+    ("index", "--algebra", "sl4", "--partition", "4,"),
+    ("index", "--algebra", "sl4", "--partition", ",4,"),
+], ids=["weight-inner", "partition-trailing", "partition-both-ends"])
+def test_an_empty_list_entry_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot parse integer list '"), err
+
+
+def test_verify_json_checks_are_check_results(capsys):
+    argv = ("verify", "--only", "minimal-orbit", "--only", "unfolding", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == ["minimal-orbit", "unfolding"]
+    for check in checks:
+        assert list(check) == [f.name for f in fields(CheckResult)]
+
+
+@pytest.mark.parametrize("field", fields(verify.VerifyConfig), ids=lambda f: f.name)
+def test_every_verify_config_field_is_a_flag_and_a_config_key(tmp_path, field):
+    key = field.name.replace("_", "-")
+    text, flag_value, config_value = (
+        ("routes", ["routes"], ("routes",)) if field.name == "only" else ("5", 5, 5)
+    )
+    parsed = build_parser().subcommands["verify"].parse_args([f"--{key}", text])
+    assert vars(parsed)[field.name] == flag_value
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    assert read_config_file(str(cfg)) == {field.name: config_value}
 
 
 # sha256 of stdout and the exit code of each invocation, recorded before the

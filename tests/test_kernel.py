@@ -384,4 +384,4 @@ def test_corrupted_index_denominator_fails_the_integrality_check(monkeypatch):
                 expected.append(f"{lt} {weight}: index {report.index}")
     assert expected
     assert not result.passed
-    assert result.failures == tuple(expected)
+    assert result.counterexamples == tuple(expected)

@@ -25,8 +25,8 @@ from dynkindex.sl2 import (
     branch_vector_rep,
     classical_index,
     clebsch_gordan,
+    difference_failures,
     difference_observations,
-    difference_observations_ok,
     index_via_adjoint,
     index_via_simplest_rep,
     mckay_data,
@@ -125,7 +125,7 @@ def test_broken_degree_pair_raises_under_python_O():
         "except ArithmeticError as exc:\n"
         "    print('raised', exc)\n"
         "result = verify.check_mckay(verify.VerifyConfig(max_classical_rank=3))\n"
-        "print(result.passed, result.failures)\n"
+        "print(result.passed, result.counterexamples)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -547,22 +547,22 @@ def test_difference_claims_are_read_from_the_observed_numbers():
     rows = {obs.label: obs for obs in difference_observations(5)}
     f4, a5 = rows["F4"], rows["A5"]
     off = replace(f4, d=f4.d - 4)  # below both bounds, so no equality case
-    assert difference_observations_ok([off]) == (False, [
+    assert difference_failures(off) == [
         "F4: equality with 2h*rank mismatch",
         "F4: equality with 3b*rank mismatch",
-    ])
-    assert difference_observations_ok([replace(a5, d=a5.d + 1)]) == (False, [
+    ]
+    assert difference_failures(replace(a5, d=a5.d + 1)) == [
         "A5: ratio 8/15 off series constant",
         "A5: D/rank not integral though h is even",
-    ])
-    assert difference_observations_ok([replace(a5, d=Fraction(95))]) == (False, [
+    ]
+    assert difference_failures(replace(a5, d=Fraction(95))) == [
         "A5: D > 2h*rank", "A5: D > 3b*rank", "A5: ratio 19/6 off series constant",
-    ])
+    ]
 
 
 def test_difference_bounds_hold_to_rank_20():
-    ok, failures = difference_observations_ok(difference_observations(20))
-    assert ok, failures
+    failures = [f for obs in difference_observations(20) for f in difference_failures(obs)]
+    assert failures == []
 
 
 def test_ab_closed_forms_match_degree_table():

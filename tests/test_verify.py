@@ -22,7 +22,7 @@ def test_minimal_orbit_reports_every_broken_sl_case(monkeypatch):
     assert result.name == "minimal-orbit"
     assert result.passed is False
     assert result.detail == "46 minimal orbits checked"
-    assert result.failures == tuple(f"sl {(2,) + (1,) * (n - 2)}" for n in range(2, 21))
+    assert result.counterexamples == tuple(f"sl {(2,) + (1,) * (n - 2)}" for n in range(2, 21))
 
 
 def test_monotonicity_reports_both_failures_per_poset(monkeypatch):
@@ -40,7 +40,7 @@ def test_monotonicity_reports_both_failures_per_poset(monkeypatch):
     assert result.name == "monotonicity"
     assert result.passed is False
     assert result.detail == "28 posets checked"
-    assert result.failures == tuple(expected)
+    assert result.counterexamples == tuple(expected)
     assert len(expected) == 51
 
 
@@ -76,7 +76,7 @@ def test_principal_names_every_route_of_a_disagreement(monkeypatch):
     monkeypatch.setattr(sl2, "principal_index", with_broken_route)
     result = verify.check_principal(verify.VerifyConfig(max_classical_rank=2))
     assert result.passed is False
-    assert result.failures[0] == (
+    assert result.counterexamples[0] == (
         "route disagreement for A1 principal-index: broken=2, coroot-norm=1, "
         "dual-coxeter-uniform=1, kostant=1, partition-formula=1"
     )
@@ -87,16 +87,16 @@ def test_routes_reports_a_disagreement_in_the_one_form(monkeypatch):
     monkeypatch.setattr(sl2, "index_via_adjoint", lambda kind, p: real(kind, p) + 1)
     result = verify.check_routes(verify.VerifyConfig(max_partition_size=2))
     assert result.passed is False
-    assert result.failures[0] == (
+    assert result.counterexamples[0] == (
         "route disagreement for sl (2,): adjoint-branching=2, partition-formula=1"
     )
 
 
 def test_check_results_are_immutable():
-    (result,) = verify.run_checks(verify.VerifyConfig(families=("unfolding",)))
-    assert result.passed and type(result.failures) is tuple
+    (result,) = verify.run_checks(verify.VerifyConfig(only=("unfolding",)))
+    assert result.passed and type(result.counterexamples) is tuple
     with pytest.raises(FrozenInstanceError):
-        result.failures = ("added later",)
+        result.counterexamples = ("added later",)
 
 
 def test_the_climb_reaches_the_highest_root_of_every_partner():
@@ -128,7 +128,7 @@ def test_mckay_lists_a_partner_with_no_highest_root(monkeypatch):
     monkeypatch.setattr(verify, "_cartan_matrix", lambda lt: ((2, -2), (-2, 2)))
     result = verify.check_mckay(verify.VerifyConfig(max_classical_rank=2))
     assert result.passed is False
-    assert result.failures == tuple(
+    assert result.counterexamples == tuple(
         f"{verify._mckay_partner(lt)}: the climb ends at no dominant root of norm 2"
         for lt in sl2.sweep_types(2)
     )
@@ -158,7 +158,7 @@ def test_structure_sees_a_coroot_half_sum_off_in_one_coordinate(monkeypatch, las
     monkeypatch.setattr(verify, "build", off_by_one)
     result = verify.check_structure(verify.VerifyConfig(max_classical_rank=4))
     assert result.passed is False
-    pairing = [f for f in result.failures if f.endswith("pairing is not the height")]
+    pairing = [f for f in result.counterexamples if f.endswith("pairing is not the height")]
     assert pairing == [
         f"{lt}: coroot half-sum pairing is not the height" for lt in verify.all_types(4)
     ]
