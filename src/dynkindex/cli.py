@@ -63,15 +63,8 @@ _FORMS = {
 
 
 def _column(lt: LieType) -> dict:
-    rs = build(lt)
-    principal = sl2.principal_index(rs)
-    data = sl2.mckay_data(lt)
-    difference = sl2.principal_minus_subregular(rs, principal.value, data)
-    for quantity, report in (("principal-index", principal), ("difference", difference)):
-        if not report.consistent:
-            raise ArithmeticError(report.disagreement(f"{lt} {quantity}"))
-    ratio = difference.value / (data.b * lt.rank)
-    values = (principal.value, difference.value, data.a, data.b, ratio)
+    row = sl2.summary_row(lt)
+    values = (row.principal, row.d, row.a, row.b, row.ratio)
     forms = _FORMS.get(lt.family, {})
     cells = {q: {"form": forms.get(q), "value": str(v)} for q, v in zip(_QUANTITIES, values)}
     label = str(lt) if lt.is_exceptional else f"{lt.family}_n (n={lt.rank})"
@@ -223,7 +216,7 @@ def read_config_file(path: str) -> dict:
                 )
             field = _CONFIG_KEYS[key]
             if field == "only":
-                values[field] = tuple(x.strip() for x in value.split(",") if x.strip())
+                values[field] = tuple(x.strip() for x in value.split(","))
             else:
                 try:
                     values[field] = int(value)

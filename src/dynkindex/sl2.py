@@ -400,7 +400,7 @@ def principal_minus_subregular(
     return IndexReport(routes["closed-form"], routes)
 
 
-# -- empirical bounds on the difference ---------------------------------------
+# -- the summary row and the empirical bounds on D ---------------------------
 
 
 _RATIO_CONSTANT = {
@@ -414,23 +414,34 @@ _EQUALITY_TYPES = frozenset(("G2", "F4", "E8"))
 
 
 @dataclass(frozen=True)
-class DifferenceObservation:
-    """One row of the empirical sweep over the difference D."""
+class SummaryRow:
+    """One type's row of the summary table, which the sweep over D reads."""
 
     label: str
     rank: int
+    principal: Fraction
     d: Fraction
     h: int
+    a: int
     b: int
 
+    @property
+    def ratio(self) -> Fraction:
+        return self.d / (self.b * self.rank)
 
-def _observe(lt: LieType) -> DifferenceObservation:
+
+def summary_row(lt: LieType) -> SummaryRow:
+    """The principal index, D, and the degree pair of lt; a report whose
+    routes disagree raises its disagreement."""
     rs = build(lt)
     data = mckay_data(lt)  # first: it refuses rank 1 and a broken degree pair
-    report = principal_minus_subregular(rs, principal_index(rs).value, data)
-    if not report.consistent:
-        raise ArithmeticError(report.disagreement(f"{lt} difference"))
-    return DifferenceObservation(str(lt), lt.rank, report.value, rs.coxeter_number, data.b)
+    principal = principal_index(rs)
+    difference = principal_minus_subregular(rs, principal.value, data)
+    for quantity, report in (("principal-index", principal), ("difference", difference)):
+        if not report.consistent:
+            raise ArithmeticError(report.disagreement(f"{lt} {quantity}"))
+    values = (principal.value, difference.value, rs.coxeter_number, data.a, data.b)
+    return SummaryRow(str(lt), lt.rank, *values)
 
 
 def sweep_types(max_classical_rank: int):
@@ -441,23 +452,18 @@ def sweep_types(max_classical_rank: int):
             yield lt
 
 
-def difference_observations(max_classical_rank: int) -> list[DifferenceObservation]:
-    return [_observe(lt) for lt in sweep_types(max_classical_rank)]
-
-
-def difference_failures(obs: DifferenceObservation) -> list[str]:
-    """A message for each empirical claim about D that obs breaks."""
-    label, d, n = obs.label, obs.d, obs.rank
+def difference_failures(row: SummaryRow) -> list[str]:
+    """A message for each empirical claim about D that row breaks."""
+    label, d, n, ratio = row.label, row.d, row.rank, row.ratio
     expect_eq = label in _EQUALITY_TYPES
     failures = []
-    for bound, factor in (("2h", 2 * obs.h), ("3b", 3 * obs.b)):
+    for bound, factor in (("2h", 2 * row.h), ("3b", 3 * row.b)):
         if d > factor * n:
             failures.append(f"{label}: D > {bound}*rank")
         if (d == factor * n) != expect_eq:
             failures.append(f"{label}: equality with {bound}*rank mismatch")
-    ratio = d / (obs.b * n)
     if label[0] in _RATIO_CONSTANT and ratio != _RATIO_CONSTANT[label[0]]:
         failures.append(f"{label}: ratio {ratio} off series constant")
-    if obs.h % 2 == 0 and (d / n).denominator != 1:
+    if row.h % 2 == 0 and (d / n).denominator != 1:
         failures.append(f"{label}: D/rank not integral though h is even")
     return failures

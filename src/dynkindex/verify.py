@@ -107,25 +107,23 @@ def check_structure(config: VerifyConfig) -> Iterator[list[str]]:
         yield failures
 
 
-_UNFOLDING_PAIRS = (
-    ("C", lambda n: LieType("A", 2 * n - 1)),
-    ("B", lambda n: LieType("D", n + 1)),
-)
+def _unfolding(lt: LieType) -> LieType:
+    """Slodowy's (1980) simply-laced unfolding: C_n -> A_2n-1, B_n -> D_n+1,
+    F4 -> E6, G2 -> D4, and a simply-laced type is its own."""
+    n = lt.rank
+    partners = {"C": ("A", 2 * n - 1), "B": ("D", n + 1), "F": ("E", 6), "G": ("D", 4)}
+    return LieType(*partners.get(lt.family, (lt.family, n)))
 
 
 @_check("unfolding", "pairs checked")
 def check_unfolding(config: VerifyConfig) -> Iterator[list[str]]:
     """Weighted height sum of a multiply-laced type equals the plain height
     sum of its simply-laced unfolding."""
-    bound = min(config.max_classical_rank, 8)
-    pairs = [
-        (LieType(family, n), partner(n))
-        for family, partner in _UNFOLDING_PAIRS
-        for n in range(2, bound + 1)
-    ] + [(LieType("F", 4), LieType("E", 6)), (LieType("G", 2), LieType("D", 4))]
-    for folded_type, unfolded_type in pairs:
-        folded = build(folded_type)
-        unfolded = build(unfolded_type)
+    for folded_type in all_types(min(config.max_classical_rank, 8)):
+        unfolded_type = _unfolding(folded_type)
+        if unfolded_type == folded_type:
+            continue
+        folded, unfolded = build(folded_type), build(unfolded_type)
         long_sum, short_sum = folded.height_sums
         total = sum(r.height for r in unfolded.positive_roots)
         differ = long_sum + folded.r * short_sum != total
@@ -201,19 +199,18 @@ def check_difference_bounds(config: VerifyConfig) -> Iterator[list[str]]:
     whose routes disagree, or whose data sl2 refuses, is a counterexample."""
     for lt in sl2.sweep_types(config.max_classical_rank):
         try:
-            observation = sl2._observe(lt)
+            row = sl2.summary_row(lt)
         except (ValueError, ArithmeticError) as exc:
             yield [str(exc)]  # the messages of sl2 name the type
         else:
-            yield sl2.difference_failures(observation)
+            yield sl2.difference_failures(row)
 
 
 def _mckay_partner(lt: LieType) -> LieType:
-    """Slodowy's (1980) simply-laced partner, the reverse of _UNFOLDING_PAIRS:
-    B_n -> A_2n-1, C_n -> D_n+1, F4 -> E6, G2 -> D4, else lt itself."""
-    n = lt.rank
-    partners = {"B": ("A", 2 * n - 1), "C": ("D", n + 1), "F": ("E", 6), "G": ("D", 4)}
-    return LieType(*partners.get(lt.family, (lt.family, n)))
+    """The partner whose highest root gives check_mckay's group order: the
+    unfolding of the Langlands dual, so B_n -> A_2n-1 and C_n -> D_n+1."""
+    dual = {"B": "C", "C": "B"}.get(lt.family, lt.family)
+    return _unfolding(LieType(dual, lt.rank))
 
 
 def _highest_root(cartan, label) -> list[int]:

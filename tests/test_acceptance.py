@@ -24,11 +24,12 @@ from dynkindex.sl2 import (
     ab_closed_form,
     classical_index,
     difference_failures,
-    difference_observations,
     index_via_adjoint,
     mckay_data,
     principal_index,
     principal_minus_subregular,
+    summary_row,
+    sweep_types,
 )
 
 EXCEPTIONAL = ("E6", "E7", "E8", "F4", "G2")
@@ -170,7 +171,7 @@ def test_criterion_7_structural_invariants():
 
 
 def test_criterion_8_difference_bounds_to_rank_50():
-    observations = difference_observations(50)
+    observations = [summary_row(lt) for lt in sweep_types(50)]
     failures = [f for obs in observations for f in difference_failures(obs)]
     assert failures == []
     equalities = {o.label for o in observations if o.d in (2 * o.h * o.rank, 3 * o.b * o.rank)}

@@ -82,7 +82,6 @@ UNREACHED_PUBLIC = {
     "wedge2": "validated public form of the label ranges the adjoint builder reads",
     "coroot_pairings": "root coordinates to Dynkin labels",
     "to_json_lines": "shown in the README",
-    "difference_observations": "shown in the README",
     "fundamental_weights": "pinned by benchmarks/",
     "weight_form": "pinned by benchmarks/",
 }

@@ -290,7 +290,7 @@ def test_table_evaluates_each_route_once_per_column(monkeypatch):
     table_payload(5)
     assert counts == {"principal_index": 9, "mckay_data": 9, "classical_index": 4}
     counts.update(principal_index=0, mckay_data=0)
-    sl2.difference_observations(10)
+    [sl2.summary_row(lt) for lt in sl2.sweep_types(10)]
     assert (counts["mckay_data"], counts["principal_index"]) == (38, 38)
 
 
@@ -310,6 +310,26 @@ def test_table_checks_the_principal_value_it_passes_along(capsys, monkeypatch):
         "error: route disagreement for A5 difference: closed-form=15, group-order=15, "
         "module-difference=16, raw-binomial=15\n"
     )
+
+
+def test_difference_bounds_lists_a_principal_route_disagreement(capsys, monkeypatch):
+    # One route off: the value passed along is right, so D agrees, and only
+    # the principal report itself shows the error.
+    real = sl2.principal_index
+
+    def with_broken_route(rs):
+        report = real(rs)
+        return sl2.IndexReport(report.value, {**report.routes, "broken": report.value + 1})
+
+    monkeypatch.setattr(sl2, "principal_index", with_broken_route)
+    argv = ("verify", "--only", "difference-bounds", "--max-classical-rank", "3")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert out.startswith("FAIL difference-bounds  10 types observed\n")
+    assert (
+        "       counterexample: route disagreement for A2 principal-index: broken=5, "
+        "coroot-norm=4, dual-coxeter-uniform=4, kostant=4, partition-formula=4\n"
+    ) in out
 
 
 # Each closed form that table prints for a classical column, as a function of n.
@@ -511,6 +531,17 @@ def test_config_bound_that_is_not_an_integer_names_file_line_and_key(tmp_path, c
     code, out, err = run(capsys, "verify", "--config", str(cfg))
     assert (code, out) == (2, "")
     assert err == f"error: {cfg}:2: max-classical-rank must be an integer, got 'ten'\n"
+
+
+@pytest.mark.parametrize("entry", ["", "routes,,unfolding", "routes,"],
+                         ids=["empty", "inner", "trailing"])
+def test_an_empty_only_entry_in_a_config_file_is_a_usage_error(tmp_path, capsys, entry):
+    # As --only "" is: an empty entry names no check, so it is not dropped.
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"only = {entry}\n")
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown checks ['']; available: "), err
 
 
 def test_config_reader_rejects_unknown_key(tmp_path):

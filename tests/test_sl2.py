@@ -26,7 +26,6 @@ from dynkindex.sl2 import (
     classical_index,
     clebsch_gordan,
     difference_failures,
-    difference_observations,
     index_via_adjoint,
     index_via_simplest_rep,
     mckay_data,
@@ -37,6 +36,7 @@ from dynkindex.sl2 import (
     principal_index,
     principal_minus_subregular,
     subregular_module,
+    summary_row,
     sweep_types,
     sym2,
     wedge2,
@@ -108,7 +108,7 @@ def test_difference_sweep_names_every_route_of_a_disagreement(monkeypatch):
 
     monkeypatch.setattr(sl2, "principal_minus_subregular", with_broken_route)
     with pytest.raises(ArithmeticError) as exc:
-        difference_observations(3)
+        [summary_row(lt) for lt in sweep_types(3)]
     assert str(exc.value) == (
         "route disagreement for A2 difference: broken=4, closed-form=3, "
         "group-order=3, module-difference=3, raw-binomial=3"
@@ -534,7 +534,7 @@ def test_a_wrong_principal_value_is_a_difference_disagreement():
 
 
 def test_difference_observation_rows():
-    rows = {obs.label: obs for obs in difference_observations(7)}
+    rows = {row.label: row for row in map(summary_row, sweep_types(7))}
     a5 = rows["A5"]
     assert a5.d == 15 and a5.d / (a5.b * a5.rank) == Fraction(1, 2) and 2 * a5.h * a5.rank == 60
     f4 = rows["F4"]
@@ -544,7 +544,7 @@ def test_difference_observation_rows():
 
 
 def test_difference_claims_are_read_from_the_observed_numbers():
-    rows = {obs.label: obs for obs in difference_observations(5)}
+    rows = {row.label: row for row in map(summary_row, sweep_types(5))}
     f4, a5 = rows["F4"], rows["A5"]
     off = replace(f4, d=f4.d - 4)  # below both bounds, so no equality case
     assert difference_failures(off) == [
@@ -561,7 +561,7 @@ def test_difference_claims_are_read_from_the_observed_numbers():
 
 
 def test_difference_bounds_hold_to_rank_20():
-    failures = [f for obs in difference_observations(20) for f in difference_failures(obs)]
+    failures = [f for lt in sweep_types(20) for f in difference_failures(summary_row(lt))]
     assert failures == []
 
 
