@@ -63,29 +63,31 @@ def dynkin_index(rs: RootSystem, weight) -> RepIndexReport:
     gives the dimension: as sum_{gamma > 0} (mu, gamma)^2 = h* (mu, mu) (the
     Killing form), the squared scaled pairings (lambda + rho, gamma) less the
     stored (rho, gamma) ones sum to r^2 h* (lambda, lambda + 2 rho).  The
-    product and the square sum are this walk's own; ``_index_report`` divides.
-    The zero weight yields the trivial module: dimension 1, index 0.
+    product and the square sum are this walk's own; ``_index_numerator``
+    divides.  The zero weight yields the trivial module: dimension 1, index 0.
     """
     weight = _check_weight(rs, weight)
     shifted = list(map(add, map(mul, weight, rs._int_norms), rs._int_norms))
     pairings = rs._scaled_root_pairings(shifted)
-    return _index_report(rs, weight, prod(pairings), sum(map(mul, pairings, pairings)))
-
-
-def _index_report(
-    rs: RootSystem, weight: tuple[int, ...], product: int, square_sum: int
-) -> RepIndexReport:
-    # The divide step both index computations share: from the product and square
-    # sum of the r * (lambda + rho, gamma) to dimension and index, by rho's constants.
-    dim, rem = divmod(product, rs._rho_product)
-    _require(rem == 0, "Weyl dimension of {} in {} is not an integer", weight, rs.lie_type)
-    value = Fraction(dim * (square_sum - rs._rho_square_sum), rs._index_denominator)
+    dim, numerator = _index_numerator(rs, weight, prod(pairings), sum(map(mul, pairings, pairings)))
+    value = Fraction(numerator, rs._index_denominator)
     return RepIndexReport(dim, value, value.denominator == 1)
 
 
-def _lattice_reports(rs: RootSystem, top: int) -> Iterator[tuple[tuple[int, ...], RepIndexReport]]:
-    """(weight, dynkin_index(rs, weight)) for every weight of
-    product(range(top), repeat=rank), in that order.
+def _index_numerator(
+    rs: RootSystem, weight: tuple[int, ...], product: int, square_sum: int
+) -> tuple[int, int]:
+    # The divide step both index computations share: from the product and square
+    # sum of the r * (lambda + rho, gamma) to dim V and index * _index_denominator.
+    dim, rem = divmod(product, rs._rho_product)
+    _require(rem == 0, "Weyl dimension of {} in {} is not an integer", weight, rs.lie_type)
+    return dim, dim * (square_sum - rs._rho_square_sum)
+
+
+def _lattice_reports(rs: RootSystem, top: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """(weight, dim V, index * rs._index_denominator) for every weight of
+    product(range(top), repeat=rank), in that order: the integers that
+    ``dynkin_index`` turns into its report, with no Fraction built.
 
     The pairings p = r (lambda + rho, gamma) are affine in the weight:
     raising lambda_i by one adds column c_i, root coordinate i times r d_i.
@@ -96,7 +98,7 @@ def _lattice_reports(rs: RootSystem, top: int) -> Iterator[tuple[tuple[int, ...]
     form in the weight, carried with D_j = p . c_j: an edge of level i adds
     2 D_i + G_ii to S and row i of the column Gram matrix G_ij = c_i . c_j
     to D.  ``dynkin_index`` squares its own pairings, so it shares only
-    ``_index_report`` and the stored constants with this walk.
+    ``_index_numerator`` and the stored constants with this walk.
     """
     rank = rs.rank
     columns = [
@@ -132,7 +134,8 @@ def _lattice_reports(rs: RootSystem, top: int) -> Iterator[tuple[tuple[int, ...]
                 square += 2 * dot + step
                 dot += step
             weight = prefix + (value,)
-            yield weight, _index_report(rs, weight, partial * prod(tail), square)
+            dim, numerator = _index_numerator(rs, weight, partial * prod(tail), square)
+            yield weight, dim, numerator
 
 
 def embedding_index(ind_sub: Fraction, ind_ambient: Fraction) -> Fraction:

@@ -258,8 +258,10 @@ def _positive_root_coords(cartan: tuple[tuple[int, ...], ...]):
     # alpha_i-string as gamma's plus one.  Ids ascend with height, so reading
     # them in order goes layer by layer and a root's strings are complete
     # before it is read.  The first edge into a root records its parent id
-    # and step i; the simple roots record nothing.
+    # and step i; the simple roots record nothing.  No finite type has more than
+    # max(n^2, 120) positive roots (B_n, C_n; E8), so a longer closure is refused.
     n = len(cartan)
+    cap = max(n * n, 120)
     ordered = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     ids = {coords: k for k, coords in enumerate(ordered)}
     pairings = [list(row) for row in cartan]
@@ -276,6 +278,7 @@ def _positive_root_coords(cartan: tuple[tuple[int, ...], ...]):
             m = ids.get(new)
             if m is None:
                 m = ids[new] = len(ordered)
+                _require(m < cap, "root closure of {} passes {} roots", cartan, cap)
                 ordered.append(new)
                 pairings.append(list(map(add, p, cartan[i])))
                 below[m] = [0] * n

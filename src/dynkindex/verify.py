@@ -174,12 +174,18 @@ def check_monotonicity(config: VerifyConfig) -> Iterator[list[str]]:
 
 @_check("integrality", "irreducibles checked")
 def check_integrality(config: VerifyConfig) -> Iterator[list[str]]:
-    """Dynkin index of small-coordinate irreducibles is an integer; the
-    weights are walked as one lattice, with dynkin_index's divide step."""
+    """Each nontrivial small-coordinate irreducible has an integer index and
+    dimension >= 2: one lattice walk through dynkin_index's divide step gives
+    the index times the denominator, and only a failure line builds a Fraction."""
     for lt in all_types(min(config.max_classical_rank, 6)):
-        for weight, report in reps._lattice_reports(build(lt), 3):
+        rs = build(lt)
+        den = rs._index_denominator
+        for weight, dim, numerator in reps._lattice_reports(rs, 3):
             if any(weight):
-                yield [] if report.is_integer else [f"{lt} {weight}: index {report.index}"]
+                failures = [] if dim > 1 else [f"{lt} {weight}: dimension {dim}"]
+                if numerator % den:
+                    failures.append(f"{lt} {weight}: index {Fraction(numerator, den)}")
+                yield failures
 
 
 @_check("minimal-orbit", "minimal orbits checked")

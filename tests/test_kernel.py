@@ -116,6 +116,13 @@ def test_root_closure_matches_string_probe(lt):
     assert _positive_root_coords(cartan) == probed_root_coords(cartan)
 
 
+def test_root_closure_of_an_affine_matrix_raises():
+    # The Cartan matrix of affine A1 has infinitely many real roots; the
+    # closure stops at its bound instead of looping.
+    with pytest.raises(ArithmeticError, match="passes 120 roots"):
+        _positive_root_coords(((2, -2), (-2, 2)))
+
+
 def bourbaki_inverse(family: str, n: int, i: int, j: int) -> Fraction:
     """Oracle: entry (i, j), 1-based, of the inverse Cartan matrix, i.e. the
     alpha_j-coordinate of the fundamental weight omega_i (Bourbaki, Planches)."""

@@ -223,13 +223,20 @@ def test_integrality_of_small_weights():
             assert report.is_integer, (label, weight, report.index)
 
 
+def batch_triple(rs, weight):
+    """The lattice batch's triple for one weight, read off dynkin_index."""
+    report = dynkin_index(rs, weight)
+    return weight, report.dimension, report.index * rs._index_denominator
+
+
 def test_lattice_batch_equals_dynkin_index_on_the_default_set():
     # Every weight the default integrality check sweeps, zero weights
-    # included, as (weight, report) pairs in the order of product.
+    # included, as (weight, dimension, index numerator) triples in the order
+    # of product.
     count = 0
     for lt in all_types(6):
         rs = build(lt)
-        expected = [(w, dynkin_index(rs, w)) for w in product(range(3), repeat=rs.rank)]
+        expected = [batch_triple(rs, w) for w in product(range(3), repeat=rs.rank)]
         assert list(_lattice_reports(rs, 3)) == expected, lt
         count += len(expected)
     assert count == 13917
@@ -242,7 +249,7 @@ def test_lattice_batch_equals_dynkin_index_at_other_tops(top):
     # root columns have a Gram matrix with two root lengths.
     for label in ("A1", "G2", "B3", "D4", "F4", "E6"):
         rs = build(label)
-        expected = [(w, dynkin_index(rs, w)) for w in product(range(top), repeat=rs.rank)]
+        expected = [batch_triple(rs, w) for w in product(range(top), repeat=rs.rank)]
         assert len(expected) == top**rs.rank
         assert list(_lattice_reports(rs, top)) == expected, label
 

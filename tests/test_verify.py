@@ -162,3 +162,33 @@ def test_structure_sees_a_coroot_half_sum_off_in_one_coordinate(monkeypatch, las
     assert pairing == [
         f"{lt}: coroot half-sum pairing is not the height" for lt in verify.all_types(4)
     ]
+
+
+def test_integrality_lists_a_nontrivial_irreducible_of_dimension_zero(monkeypatch):
+    # Leaf dimensions of 0 make every index 0, an integer; the dimension
+    # guard still names the weight.
+    real = verify.reps._lattice_reports
+
+    def zero_dimension(rs, top):
+        if rs.lie_type == rootsystems.LieType("A", 2):
+            yield (1, 0), 0, 0
+        else:
+            yield from real(rs, top)
+
+    monkeypatch.setattr(verify.reps, "_lattice_reports", zero_dimension)
+    result = verify.check_integrality(verify.VerifyConfig(max_classical_rank=2))
+    assert result.passed is False
+    assert result.counterexamples == ("A2 (1, 0): dimension 0",)
+
+
+def test_integrality_builds_no_fraction_and_no_report_when_it_passes(monkeypatch):
+    # The sweep decides each index by the remainder of its numerator.
+    def refuse(*args):
+        raise AssertionError("a passing integrality sweep built a Fraction or a report")
+
+    monkeypatch.setattr(verify.reps, "RepIndexReport", refuse)
+    monkeypatch.setattr(verify.reps, "Fraction", refuse)
+    monkeypatch.setattr(verify, "Fraction", refuse)
+    result = verify.check_integrality(verify.VerifyConfig())
+    assert result.passed is True
+    assert result.detail == "13892 irreducibles checked"
