@@ -18,6 +18,7 @@ import sys
 from dataclasses import asdict, fields
 from fractions import Fraction
 from functools import cache, partial
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import orbits, reps, sl2
 from .rootsystems import EXCEPTIONAL, LieType, build, classical_type, defining_module
@@ -43,8 +44,8 @@ def parse_algebra(label: str) -> tuple[LieType, str | None, int | None]:
 
 
 def parse_parts(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
+    try:  # from a list: tuple(iterator) resizes, leaving its block in a free list
+        return tuple(list(map(int, text.split(","))))
     except ValueError:
         raise ValueError(f"cannot parse integer list {text!r}") from None
 
@@ -174,12 +175,42 @@ def _verify_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_chunks(value, pad: str, out: list) -> None:
+    """Append json.dumps(value, indent=2), nested at indent pad, to out in
+    pieces: str-keyed dicts, lists, tuples, str, int, bool and None (exact
+    types) are laid out here, any other value by json.dumps itself."""
+    kind = type(value)
+    if kind is str:
+        out.append(_json_str(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is dict or kind is list or kind is tuple:
+        opening, closing = "{}" if kind is dict else "[]"
+        inner = pad + "  "
+        sep = opening + "\n" + inner
+        for item in value:
+            if kind is dict:  # the C escaper refuses a non-str key: TypeError
+                out += (sep, _json_str(item), ": ")
+                item = value[item]
+            else:
+                out.append(sep)
+            _json_chunks(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + closing if value else opening + closing)
+    elif kind is bool or value is None:
+        out.append("null" if value is None else "true" if value else "false")
+    else:
+        out.append(json.dumps(value, indent=2).replace("\n", "\n" + pad))
+
+
 def _emit(payload: dict, fmt: str, out, rows=_field_rows, text=None) -> None:
-    """The one output path of every subcommand: json encodes the payload in
-    one piece and writes it once, csv and md lay out rows(payload) (a header
-    row, then the body), and the text formats (text, dot) write text()."""
+    """The one output path of every subcommand: json joins _json_chunks once
+    and writes it once, csv and md lay out rows(payload) (a header row, then
+    the body), and the text formats (text, dot) write text()."""
     if fmt == "json":
-        out.write(json.dumps(payload, indent=2) + "\n")
+        chunks: list[str] = []
+        _json_chunks(payload, "", chunks)
+        out.write("".join(chunks) + "\n")
     elif fmt == "csv":
         csv.writer(out, lineterminator="\n").writerows(rows(payload))
     elif fmt == "md":

@@ -88,7 +88,7 @@ def module_index(components: Sl2Module) -> int:
 
 def branch_vector_rep(p: Partition) -> Sl2Module:
     """Restriction of the defining module to the sl2 of Jordan type p."""
-    return tuple(part - 1 for part in p)
+    return tuple([part - 1 for part in p])  # from a list, as cli.parse_parts
 
 
 # The labels of CG(a, b), Sym^2 V_m and Lambda^2 V_m, each a progression,
@@ -199,7 +199,8 @@ def branch_adjoint_multiplicities(kind: str, p: Partition) -> Sl2Multiset:
     expected = {"sl": n * n - 1, "sp": n * (n + 1) // 2, "so": n * (n - 1) // 2}[kind]
     dimension = sum(map(mul, range(top + 1, 0, -1), multiplicities))
     _require(dimension == expected, "{} branching of {}: wrong dimension", kind, p)
-    return tuple(compress(zip(range(top, -1, -1), multiplicities), multiplicities))
+    # From a list, as cli.parse_parts and branch_vector_rep build their tuples.
+    return tuple(list(compress(zip(range(top, -1, -1), multiplicities), multiplicities)))
 
 
 def branch_adjoint(kind: str, p: Partition) -> Sl2Module:

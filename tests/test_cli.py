@@ -8,7 +8,8 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from collections import namedtuple
+from dataclasses import asdict, fields
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -17,8 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynkindex import sl2, verify
-from dynkindex.cli import build_parser, main, parse_algebra, read_config_file, table_payload
+from dynkindex import cli, orbits, sl2, verify
+from dynkindex.cli import (
+    build_parser,
+    index_report,
+    main,
+    parse_algebra,
+    read_config_file,
+    rep_index_report,
+    table_payload,
+)
 from dynkindex.rootsystems import LieType
 from dynkindex.verify import CheckResult
 
@@ -698,6 +707,110 @@ def test_golden_poset_output(capsys, case, digest):
     kind, n, fmt = case
     code, out, _ = run(capsys, "poset", "--kind", kind, "--n", str(n), "--format", fmt)
     assert (code, stdout_digest(out)) == (0, digest)
+
+
+def emitted_json(value) -> str:
+    buf = io.StringIO()
+    cli._emit(value, "json", buf)
+    return buf.getvalue()
+
+
+# One payload of each subcommand that writes json, and index by every route.
+JSON_PAYLOADS = {
+    "index sl8 all": lambda: index_report("sl8", (3, 3, 2))[1],
+    "index sp6 partition": lambda: index_report("sp6", (4, 2), "partition")[1],
+    "index so9 adjoint": lambda: index_report("so9", (5, 3, 1), "adjoint")[1],
+    "index F4 simplest": lambda: index_report("F4", (17, 9), "simplest")[1],
+    "rep-index E6": lambda: rep_index_report("E6", (1, 0, 0, 0, 0, 0)),
+    "table rank 4": lambda: table_payload(4),
+    "verify with counterexamples": lambda: {
+        "checks": [
+            asdict(CheckResult("minimal-orbit", False, "2 checked", ("sl (2,)", "so (3,)"))),
+            asdict(CheckResult("mckay", True, "0 types checked", ())),
+        ],
+        "passed": False,
+    },
+    "poset sl 6": lambda: orbits.poset_payload(orbits.build_poset("sl", 6)),
+}
+
+
+@pytest.mark.parametrize("payload", JSON_PAYLOADS.values(), ids=JSON_PAYLOADS)
+def test_json_output_of_each_subcommand_is_json_dumps_with_indent_2(payload):
+    value = payload()
+    assert emitted_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+Pair = namedtuple("Pair", "left right")
+
+
+class Mapping(dict):
+    pass
+
+
+EDGE_VALUES = {
+    "empty dict": {},
+    "empty list": [],
+    "empty tuple": (),
+    "nested empties": {"a": {}, "b": [[], ()], "c": [{}]},
+    "empty list in lists": [[[]]],
+    "None": None,
+    "None nested": [None, {"x": None}],
+    "bools beside 0 and 1": [True, False, 0, 1],
+    "bool values": {"t": True, "f": False, "zero": 0, "one": 1},
+    "escaped str": 'quote " backslash \\ newline \n e-acute \u00e9',
+    "escaped key": {"\u00e9\n\"\\": ["\\"]},
+    "500-digit int": int("7" * 500),
+    "negative 500-digit int": [-(10 ** 499), 0],
+    # Not laid out by the emitter: handed to json.dumps at their indentation.
+    "floats": [1.5, {"f": [-0.25, 1e300]}],
+    "namedtuple": {"pair": Pair(1, [2, {"k": "v"}])},
+    "dict subclass": [Mapping({"m": [1]})],
+}
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES.values(), ids=EDGE_VALUES)
+def test_json_output_of_edge_values_is_json_dumps_with_indent_2(value):
+    assert emitted_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), {"a": [Fraction(3)]}], ids=["top", "nested"])
+def test_json_output_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError) as refused:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as emitted:
+        emitted_json(value)
+    assert str(emitted.value) == str(refused.value)
+
+
+@pytest.mark.parametrize(
+    "value", [{1: "one"}, {"a": {None: 0}}, {(1, 2): 3}], ids=["int", "None", "tuple"]
+)
+def test_json_output_refuses_a_key_that_is_not_a_str(value):
+    with pytest.raises(TypeError):
+        emitted_json(value)
+
+
+def writes_json(argv) -> bool:
+    if "--format" in argv:
+        return argv[argv.index("--format") + 1] == "json"
+    return build_parser().subcommands[argv[0]].get_default("format") == "json"
+
+
+GOLDEN_JSON = [g for g in GOLDEN_CLI if g[1] == 0 and writes_json(g[0])]
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest", GOLDEN_JSON, ids=[" ".join(c[0]) for c in GOLDEN_JSON]
+)
+def test_json_output_does_not_use_the_pure_python_indent_encoder(
+    capsys, monkeypatch, argv, code, digest
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.encoder._make_iterencode called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    got_code, out, _ = run(capsys, *argv)
+    assert (got_code, stdout_digest(out)) == (code, digest)
 
 
 # argparse refusals (exit 2 with usage on stderr) sent between the goldens.
