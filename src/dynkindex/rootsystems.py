@@ -1,8 +1,8 @@
 """Root systems of the simple Lie algebras over exact arithmetic.
 
 Positive roots are integer coordinate vectors in the simple-root basis,
-generated from the Cartan matrix by root-string closure.  The invariant
-bilinear form is normalised so that long roots have squared length 2.
+generated by root-string closure, each root looked up by its coordinates
+packed into one int.  The invariant form gives long roots squared length 2.
 
 Every type constant is computed once, in the constructor, as a scaled
 integer: the half squared lengths of the simple roots and the Gram matrix
@@ -11,8 +11,8 @@ the scaled pairings (rho, gamma) over the positive roots.  The forms sum
 over these integers and divide once, so every result is an exact integer
 or Fraction.  Only the fundamental weights and the weight form read the
 inverse Cartan matrix, as ``det C`` and the adjugate ``det C * C^-1``,
-computed on access by eliminating from the leaves of the Dynkin tree
-(integer-preserving in the sense of Bareiss).  Broken invariants raise
+computed on access by integer elimination from the leaves of the Dynkin
+tree, one row of all n columns per vertex.  Broken invariants raise
 ``ArithmeticError`` in every run mode, ``python -O`` included.
 
 Simple roots are numbered as in Bourbaki, so fundamental-weight coordinates
@@ -27,9 +27,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 from math import lcm, prod
-from operator import add, gt, index, mul
+from operator import add, gt, index, mul, not_
 
 FAMILIES = "ABCDEFG"
 EXCEPTIONAL = ("E6", "E7", "E8", "F4", "G2")
@@ -240,14 +240,14 @@ def _dynkin_tree(cartan):
 def _simple_norms(cartan: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
     # Half squared lengths d_j of the simple roots, scaled so max(d) = 1.
     # Symmetry of the form forces c[i][j] d_j = c[j][i] d_i along each bond,
-    # so each d_v follows from its parent's along the walk of the tree.
+    # so each d_v follows from its parent's along the walk of the tree.  From
+    # d_0 = |product of the bond entries c[parent][v]| every division is exact.
     parent, order = _dynkin_tree(cartan)[1:3]
-    d = [Fraction(1)] * len(cartan)
+    d = [abs(prod(cartan[parent[v]][v] for v in order[1:]))] * len(cartan)
     for v in order[1:]:
-        u = parent[v]
-        d[v] = d[u] * cartan[v][u] / cartan[u][v]
+        d[v] = d[parent[v]] * cartan[v][parent[v]] // cartan[parent[v]][v]
     top = max(d)
-    return tuple(x / top for x in d)
+    return tuple(Fraction(x, top) for x in d)
 
 
 def _positive_root_coords(cartan: tuple[tuple[int, ...], ...]):
@@ -260,27 +260,36 @@ def _positive_root_coords(cartan: tuple[tuple[int, ...], ...]):
     # before it is read.  The first edge into a root records its parent id
     # and step i; the simple roots record nothing.  No finite type has more than
     # max(n^2, 120) positive roots (B_n, C_n; E8), so a longer closure is refused.
+    # A root's key packs its coordinates into one int, `width` bits each (a
+    # coordinate is at most the height, so at most the cap): an edge adds unit[i].
     n = len(cartan)
     cap = max(n * n, 120)
+    width = cap.bit_length()
+    unit = [1 << (width * i) for i in range(n)]
+    bonds = [[(j, c) for j, c in enumerate(row) if c] for row in cartan]
+    keys = list(unit)
+    ids = {key: k for k, key in enumerate(keys)}
     ordered = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    ids = {coords: k for k, coords in enumerate(ordered)}
     pairings = [list(row) for row in cartan]
     below = {k: [0] * n for k in range(n)}
-    parents: list[int] = []
-    steps: list[int] = []
-    for k, coords in enumerate(ordered):  # the list grows as roots are found
+    parents, steps = [], []
+    for k, (key, coords) in enumerate(zip(keys, ordered)):  # both grow as roots are found
         p = pairings[k]
         q = below.pop(k)
         for i in compress(range(n), map(gt, q, p)):
-            up = list(coords)
-            up[i] += 1
-            new = tuple(up)
+            new = key + unit[i]
             m = ids.get(new)
             if m is None:
-                m = ids[new] = len(ordered)
+                m = ids[new] = len(keys)
                 _require(m < cap, "root closure of {} passes {} roots", cartan, cap)
-                ordered.append(new)
-                pairings.append(list(map(add, p, cartan[i])))
+                keys.append(new)
+                up = list(coords)
+                up[i] += 1
+                ordered.append(tuple(up))
+                pairing = p.copy()  # p + cartan[i], entry by nonzero entry
+                for j, c in bonds[i]:
+                    pairing[j] += c
+                pairings.append(pairing)
                 below[m] = [0] * n
                 parents.append(k)
                 steps.append(i)
@@ -290,36 +299,33 @@ def _positive_root_coords(cartan: tuple[tuple[int, ...], ...]):
 
 def _cartan_adjugate(cartan) -> tuple[int, tuple[tuple[int, ...], ...]]:
     # det C and det C * C^-1 in integers.  The Dynkin diagram is a tree, so
-    # eliminating from the leaves towards vertex 0 creates no fill-in.  Each
-    # column j solves C x = e_j: the forward pass keeps every eliminated
-    # right-hand side t[u] as the integer s[u] = t[u] * below[u], and
-    # back-substitution yields det C * x with exact divisions.
+    # eliminating from the leaves towards vertex 0 creates no fill-in.  All n
+    # columns are solved at once, as rows of right-hand sides: the forward pass
+    # keeps each eliminated row t[u] as the integer row s[u] = t[u] * below[u],
+    # s[u] = e_u * below[u] - sum over children c of C[u][c] (below[u] / sub[c]) s[c],
+    # and back-substitution yields row u of det C * C^-1 with exact divisions.
     n = len(cartan)
     nbrs, parent, order, children, sub, below = _dynkin_tree(cartan)
     det = sub[0]
-    # s[u] = e_j[u] * below[u] - sum over children c of
-    # C[u][c] * (below[u] / sub[c]) * s[c].
-    links = [
-        [(c, cartan[u][c] * (below[u] // sub[c])) for c in children[u]] for u in range(n)
-    ]
-    columns = []
-    for j in range(n):
-        s = [0] * n
-        for u in reversed(order):
-            s[u] = (below[u] if u == j else 0) - sum(w * s[c] for c, w in links[u])
-        x = [0] * n
-        for u in order:
-            up = cartan[u][parent[u]] * x[parent[u]] * below[u] if u else 0
-            x[u] = (det * s[u] - up) // sub[u]
-        # C x = det e_j, row by row over the tree's edges.
-        for u in range(n):
-            _require(
-                cartan[u][u] * x[u] + sum(cartan[u][v] * x[v] for v in nbrs[u])
-                == (det if u == j else 0),
-                "inexact inverse of the Cartan matrix",
-            )
-        columns.append(x)
-    return det, tuple(zip(*columns))
+    s = [None] * n
+    for u in reversed(order):
+        s[u] = row = [0] * n
+        row[u] = below[u]
+        for c in children[u]:
+            w = -cartan[u][c] * (below[u] // sub[c])
+            row[:] = map(add, row, map(w.__mul__, s[c]))
+    x = [s[0]] * n  # row 0 is det * s[0] / sub[0] = s[0]; the others follow
+    for u in order[1:]:
+        f = cartan[u][parent[u]] * below[u]
+        x[u] = [(det * t - f * v) // sub[u] for t, v in zip(s[u], x[parent[u]])]
+    # C X = det I, row by row over the tree's edges.
+    for u in range(n):
+        row = list(map(cartan[u][u].__mul__, x[u]))
+        for v in nbrs[u]:
+            row[:] = map(add, row, map(cartan[u][v].__mul__, x[v]))
+        row[u] -= det
+        _require(not any(row), "inexact inverse of the Cartan matrix")
+    return det, tuple(map(tuple, x))
 
 
 def _clear_denominators(vector) -> tuple[list[int], int]:
@@ -372,10 +378,8 @@ class RootSystem:
         # The shortest simple root has d = 1/r, so r is the common denominator.
         self.r = scale = lcm(*(d.denominator for d in self.simple_norms))
         _require(scale in (1, 2, 3), "root length ratio {} is not 1, 2 or 3", scale)
-        int_norms = tuple(int(d * scale) for d in self.simple_norms)
-        int_gram = tuple(
-            tuple(c * w for c, w in zip(row, int_norms)) for row in self.cartan
-        )
+        int_norms = tuple(d.numerator * scale // d.denominator for d in self.simple_norms)
+        int_gram = tuple(tuple(map(mul, row, int_norms)) for row in self.cartan)
         _require(int_gram == tuple(zip(*int_gram)), "Gram matrix is not symmetric")
 
         coords_list, pairings, parents, steps = _positive_root_coords(self.cartan)
@@ -385,34 +389,30 @@ class RootSystem:
         for parent, i in zip(parents, steps):
             norms.append(norms[parent] + 2 * int_norms[i] * (pairings[parent][i] + 1))
         norm2 = {norm: Fraction(norm, scale) for norm in set(norms)}
-        roots = [
-            Root(coords, sum(coords), norm == 2 * scale, norm2[norm])
-            for coords, norm in zip(coords_list, norms)
-        ]
+        heights = list(map(sum, coords_list))
+        flags = list(map((2 * scale).__eq__, norms))
+        roots = tuple(map(Root, coords_list, heights, flags, map(norm2.__getitem__, norms)))
         total = [sum(col) for col in zip(*coords_list)]
-        long_total = [sum(col) for col in zip(*(r.coords for r in roots if r.is_long))]
+        long_total = [sum(col) for col in zip(*compress(coords_list, flags))]
         short_total = [t - lt for t, lt in zip(total, long_total)]
-        self.positive_roots = tuple(roots)
+        self.positive_roots = roots
         self.dimension = self.rank + 2 * len(roots)
 
         # Exponents: the conjugate of the height distribution.
-        counts = Counter(r.height for r in roots)
-        exps = tuple(
-            sum(1 for k in counts.values() if k >= j) for j in range(counts[1], 0, -1)
-        )
+        counts = Counter(heights)
+        exps = tuple(sum(1 for k in counts.values() if k >= j) for j in range(counts[1], 0, -1))
         _require(len(exps) == self.rank, "wrong number of exponents")
-        _require(
-            sum(2 * m + 1 for m in exps) == self.dimension, "exponents miss the dimension"
-        )
+        _require(sum(2 * m + 1 for m in exps) == self.dimension, "exponents miss the dimension")
         self.exponents = exps
 
-        self.theta = max(roots, key=lambda r: r.height)
-        _require(counts[self.theta.height] == 1, "highest root is not unique")
+        top = max(heights)
+        self.theta = roots[heights.index(top)]
+        _require(counts[top] == 1, "highest root is not unique")
         _require(self.theta.norm2 == 2, "normalisation failed")
-        self.coxeter_number = self.theta.height + 1
+        self.coxeter_number = top + 1
 
-        shorts = (r for r in roots if not r.is_long)
-        self.theta_short = max(shorts, key=lambda r: r.height, default=self.theta)
+        shorts = compress(range(len(roots)), map(not_, flags))
+        self.theta_short = roots[max(shorts, key=heights.__getitem__, default=heights.index(top))]
         _require(self.theta_short.norm2 * scale == 2, "(theta_s, theta_s) * r is not 2")
         self.dual_coxeter_number_of_dual = 1 + self.theta_short.height
 
@@ -429,8 +429,7 @@ class RootSystem:
         # Coroot half-sum: each root contributes its coordinates divided by
         # its squared length, i.e. 1/2 for long roots and r/2 for short ones.
         self.rho_check = tuple(
-            Fraction(lt, 2) + Fraction(st * self.r, 2)
-            for lt, st in zip(long_total, short_total)
+            Fraction(lt + st * scale, 2) for lt, st in zip(long_total, short_total)
         )
 
         self._int_norms = int_norms
@@ -487,7 +486,8 @@ class RootSystem:
         """Fundamental weights as root-coordinate rows (inverse Cartan),
         read off the integer adjugate, which each access computes."""
         det, adjugate = _cartan_adjugate(self.cartan)
-        return tuple(tuple(Fraction(a, det) for a in row) for row in adjugate)
+        value = {a: Fraction(a, det) for a in set(chain.from_iterable(adjugate))}
+        return tuple(tuple(map(value.__getitem__, row)) for row in adjugate)
 
     def weight_form(self, a, b) -> Fraction:
         """Invariant form between two weights in fundamental coordinates.

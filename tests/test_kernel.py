@@ -123,6 +123,18 @@ def test_root_closure_of_an_affine_matrix_raises():
         _positive_root_coords(((2, -2), (-2, 2)))
 
 
+@pytest.mark.parametrize(
+    "cartan",
+    [((2, -3), (-3, 2)), ((2, -1, 0), (-2, 2, -2), (0, -1, 2))],
+    ids=["hyperbolic", "affine-C2"],
+)
+def test_root_closure_over_packed_keys_ends_on_non_finite_matrices(cartan):
+    # At rank 2 and 3 the roots' keys pack several coordinates; the closure
+    # still stops at its bound instead of looping or merging two roots.
+    with pytest.raises(ArithmeticError, match="passes 120 roots"):
+        _positive_root_coords(cartan)
+
+
 def bourbaki_inverse(family: str, n: int, i: int, j: int) -> Fraction:
     """Oracle: entry (i, j), 1-based, of the inverse Cartan matrix, i.e. the
     alpha_j-coordinate of the fundamental weight omega_i (Bourbaki, Planches)."""
@@ -169,6 +181,26 @@ def test_integer_inverse_matches_bourbaki_at_rank_124(family):
 def test_integer_inverse_rejects_non_dynkin_matrices(cartan, walk):
     with pytest.raises(ArithmeticError):
         walk(cartan)
+
+
+@pytest.mark.parametrize("label", ["D5", "F4"])
+def test_inexact_adjugate_is_refused(monkeypatch, label):
+    # A fresh object; one pivot of the tree walk is then off by one, so the
+    # back-substitution's rows fail the check C X = det I.
+    rs = RootSystem(LieType.parse(label))
+    walk = rootsystems._dynkin_tree
+
+    def off_by_one(cartan):
+        nbrs, parent, order, children, sub, below = walk(cartan)
+        sub = list(sub)
+        sub[order[-1]] += 1
+        return nbrs, parent, order, children, sub, below
+
+    monkeypatch.setattr(rootsystems, "_dynkin_tree", off_by_one)
+    with pytest.raises(ArithmeticError, match="^inexact inverse of the Cartan matrix$"):
+        rs.fundamental_weights
+    with pytest.raises(ArithmeticError, match="^inexact inverse of the Cartan matrix$"):
+        rs.weight_form((1,) * rs.rank, (0,) * rs.rank)
 
 
 def test_construction_errors_name_the_type(monkeypatch):
