@@ -286,7 +286,7 @@ def _cmd_verify(args, out) -> int:
     for field in _CONFIG_KEYS.values():  # flags override the file
         value = getattr(args, field)
         if value is not None:
-            options[field] = tuple(value) if field == "only" else value
+            options[field] = value
     results = run_checks(VerifyConfig(**options))
     payload = {
         "checks": [asdict(r) for r in results],
@@ -384,6 +384,9 @@ def main(argv=None) -> int:
         return args.func(args, sys.stdout)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # str() of a MemoryError is usually empty
+        print("error: out of memory", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,9 @@
 """Closure order on nilpotent orbits of the classical algebras.
 
 Orbits are admissible partitions ordered by dominance; for sl the covering
-relations are exactly the images of two elementary degeneration moves
-(shifting one box to the next row, or collapsing a fragment a+1, a^k, a-1
-into a^(k+2)), and build_poset checks this against the covers it finds.
+relations are exactly Brylawski's single box moves (a box moves from row i
+down to row j where j = i + 1 or p_i = p_j + 2), and build_poset checks this
+against the covers it finds.
 The central fact checked here is that the sl2-index strictly decreases
 toward the boundary.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, zip_longest
 
 from .rootsystems import _require
 from .sl2 import Partition, classical_index, normalize_partition, partition_is_admissible
@@ -39,43 +40,31 @@ def enumerate_orbits(kind: str, n: int) -> list[Partition]:
 
 
 def degeneration_moves(p: Partition) -> list[Partition]:
-    """Partitions one elementary degeneration below p, deduplicated.
+    """Partitions one box move below p, deduplicated: Brylawski's covers.
 
-    The partition is padded with a trailing zero so both moves can act on
-    the last part.
+    A box moves from row i down to row j > i of the zero-padded partition
+    when p_i - p_j = 2, or when j = i + 1 and p_i - p_j >= 2.
     """
-    p = normalize_partition(p)
-    padded = list(p) + [0]
+    padded = normalize_partition(p) + (0,)
     seen: set[Partition] = set()
-    for i in range(len(p)):
-        if padded[i] >= padded[i + 1] + 2:
-            q = padded.copy()
+    for i, j in combinations(range(len(padded)), 2):
+        gap = padded[i] - padded[j]
+        if gap == 2 or (j == i + 1 and gap > 2):
+            q = list(padded)
             q[i] -= 1
-            q[i + 1] += 1
-            seen.add(tuple(sorted((x for x in q if x > 0), reverse=True)))
-    for i, top in enumerate(padded):
-        a = top - 1
-        if a < 1:
-            continue
-        j = i + 1
-        while j < len(padded) and padded[j] == a:
-            j += 1
-        if j < len(padded) and padded[j] == a - 1:
-            q = padded[:i] + [a] * (j - i + 1) + padded[j + 1 :]
+            q[j] += 1
             seen.add(tuple(sorted((x for x in q if x > 0), reverse=True)))
     return sorted(seen, reverse=True)
 
 
 def dominance_leq(p: Partition, q: Partition) -> bool:
     """Whether p is below q in dominance order (same total assumed)."""
-    total_p = 0
-    total_q = 0
-    for k in range(max(len(p), len(q))):
-        total_p += p[k] if k < len(p) else 0
-        total_q += q[k] if k < len(q) else 0
-        if total_p > total_q:
+    lead = 0  # q's partial sum minus p's
+    for a, b in zip_longest(p, q, fillvalue=0):
+        lead += b - a
+        if lead < 0:
             return False
-    return total_p == total_q
+    return lead == 0
 
 
 @dataclass(frozen=True)
@@ -96,7 +85,8 @@ def build_poset(kind: str, n: int) -> OrbitPoset:
     up, each keeps the bitset of the nodes strictly below it; scanning the
     later nodes in order, a node not yet reached through an earlier find and
     dominated by j is a cover, and brings its own bitset.  For sl the covers
-    must be exactly the degeneration moves (Brylawski, 1973).
+    must be the box moves from row i down to row j where j = i + 1 or
+    p_i = p_j + 2 (Brylawski, 1973), as degeneration_moves makes them.
     """
     nodes = enumerate_orbits(kind, n)
     below = [0] * len(nodes)

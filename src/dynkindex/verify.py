@@ -38,6 +38,8 @@ class VerifyConfig:
         for name in BOUNDS:
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be at least 2")
+        if self.only is not None:  # a list would make the config mutable
+            object.__setattr__(self, "only", tuple(self.only))
 
 
 BOUNDS = tuple(f.name for f in fields(VerifyConfig) if f.name != "only")

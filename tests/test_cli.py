@@ -179,6 +179,18 @@ def test_table_rank_guard(capsys):
     assert code == 2 and "rank" in err
 
 
+def test_out_of_memory_exits_2_without_a_traceback(capsys, monkeypatch):
+    # The builder is patched to raise: a real allocation of 10^12 slots
+    # could be granted by an overcommitting host and then killed.
+    def refuse(kind, p):
+        raise MemoryError
+
+    monkeypatch.setattr(sl2, "branch_adjoint_multiplicities", refuse)
+    huge = "1000000000000"
+    code, _, err = run(capsys, "index", "--algebra", f"sl{huge}", "--partition", huge)
+    assert (code, err) == (2, "error: out of memory\n")
+
+
 def test_table_route_disagreement_exits_1(capsys, monkeypatch):
     real = sl2.principal_index
 

@@ -70,6 +70,10 @@ def test_degeneration_moves():
     assert degeneration_moves((2, 2)) == [(2, 1, 1)]
     assert degeneration_moves((4, 2)) == [(4, 1, 1), (3, 3)]
     assert degeneration_moves((1, 1, 1)) == []
+    # runs of equal parts: a box moves past the run to a part two smaller
+    assert degeneration_moves((3, 3, 1)) == [(3, 2, 2)]
+    assert degeneration_moves((5, 3, 3, 1)) == [(5, 3, 2, 2), (4, 4, 3, 1)]
+    assert degeneration_moves((3, 2, 2, 2, 1)) == [(3, 2, 2, 1, 1, 1), (2, 2, 2, 2, 2)]
     # moves preserve the partition size and go strictly down in dominance
     for n in range(2, 11):
         for p in partitions_of(n):
@@ -165,7 +169,7 @@ def test_comparable_pairs_scan_dominance_not_covers():
 
 def test_moves_match_dominance_for_sl():
     # Covers are the reduction of dominance, so moves generate dominance.
-    for n in range(2, 13):
+    for n in range(2, 19):
         poset = build_poset("sl", n)
         moves = {(p, m) for p in poset.nodes for m in degeneration_moves(p)}
         assert set(poset.covers) == moves, n

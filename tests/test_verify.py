@@ -92,6 +92,15 @@ def test_routes_reports_a_disagreement_in_the_one_form(monkeypatch):
     )
 
 
+def test_config_stores_only_as_a_tuple():
+    config = verify.VerifyConfig(only=["minimal-orbit"])
+    assert config.only == ("minimal-orbit",)
+    assert hash(config) == hash(verify.VerifyConfig(only=("minimal-orbit",)))
+    with pytest.raises(AttributeError):
+        config.only.append("routes")
+    assert verify.VerifyConfig().only is None
+
+
 def test_check_results_are_immutable():
     (result,) = verify.run_checks(verify.VerifyConfig(only=("unfolding",)))
     assert result.passed and type(result.counterexamples) is tuple
