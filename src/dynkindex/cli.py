@@ -6,12 +6,15 @@ irreducible), verify (the exhaustive check suite), poset (orbit closure
 diagrams).  Exit codes: 0 success, 1 verification, route or invariant
 failure, 2 usage error; errors go to stderr as "error: ...".  All output is
 deterministic; exact rationals are printed as "p/q" strings.
+
+Each subcommand and its options are declared once, in _SUBCOMMANDS.  A
+plain argv of "--flag value" pairs is read from that table alone; every
+other form, with every usage message and help text, goes to the argparse
+parser that build_parser makes from the same table.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import json
 import re
 import sys
@@ -19,10 +22,15 @@ from dataclasses import asdict, fields
 from fractions import Fraction
 from functools import cache, partial
 from json.encoder import encode_basestring_ascii as _json_str
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import orbits, reps, sl2
 from .rootsystems import EXCEPTIONAL, LieType, build, classical_type, defining_module
 from .verify import BOUNDS, CHECKS, VerifyConfig, run_checks
+
+if TYPE_CHECKING:
+    import argparse
 
 _MATRIX_RE = re.compile(rf"^({'|'.join(sl2.KINDS)})[_ ]?([0-9]+)$", re.IGNORECASE)
 
@@ -212,6 +220,8 @@ def _emit(payload: dict, fmt: str, out, rows=_field_rows, text=None) -> None:
         _json_chunks(payload, "", chunks)
         out.write("".join(chunks) + "\n")
     elif fmt == "csv":
+        import csv
+
         csv.writer(out, lineterminator="\n").writerows(rows(payload))
     elif fmt == "md":
         header, *body = rows(payload)
@@ -302,84 +312,129 @@ def _cmd_poset(args, out) -> int:
     return 0
 
 
+# Each subcommand once: its help, its driver and its options, each a flag
+# with the keyword arguments of its add_argument call, in help order.
+# build_parser builds argparse's parsers from this table, and
+# _parse_canonical reads the plain "--flag value" argv with it.
+_SUBCOMMANDS = {
+    "table": ("summary table over all nine families", _cmd_table, {
+        "--format": {"choices": ("json", "csv", "md"), "default": "md"},
+        "--rank": {
+            "type": int,
+            "default": 5,
+            "help": "sample rank at which classical closed forms are evaluated",
+        },
+    }),
+    "index": ("sl2-subalgebra index of one orbit", _cmd_index, {
+        "--algebra": {"required": True, "help": "e.g. sl8, sp6, so13, C3, E6"},
+        "--partition": {"required": True, "help": "comma-separated parts"},
+        "--via": {
+            "choices": ("partition", "adjoint", "simplest", "all"),
+            "default": "all",
+            "help": "which computation routes to run",
+        },
+        "--format": {"choices": ("json", "csv", "md"), "default": "json"},
+    }),
+    "rep-index": ("Dynkin index of one irreducible", _cmd_rep_index, {
+        "--algebra": {"required": True},
+        "--weight": {"required": True, "help": "fundamental-weight coordinates"},
+        "--format": {"choices": ("json", "csv", "md"), "default": "json"},
+    }),
+    "verify": ("run the exhaustive check suite", _cmd_verify, {
+        "--only": {
+            "action": "append",
+            "metavar": "CHECK",
+            "help": f"restrict to named checks ({', '.join(CHECKS)})",
+        },
+        **{f"--{key}": {"type": int} for key, name in _CONFIG_KEYS.items() if name in BOUNDS},
+        "--config": {"help": "key-value config file (see README)"},
+        "--format": {"choices": ("text", "json"), "default": "text"},
+    }),
+    "poset": ("orbit closure diagram", _cmd_poset, {
+        "--kind": {"choices": sl2.KINDS, "required": True},
+        "--n": {"type": int, "required": True, "help": "module dimension"},
+        "--format": {"choices": ("dot", "json"), "default": "dot"},
+    }),
+}
+
+
+def _parse_canonical(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would give for a plain argv, or None.
+
+    Plain means: a subcommand, then pairs of a declared flag of a store
+    option, each flag once, and a value that does not start with "-" and
+    passes the option's type and choices, with every required flag given.
+    Any other argv (help, abbreviations, "--flag=value", repeats, --only,
+    strays, bad values) is None, and main hands it to argparse.
+    """
+    entry = _SUBCOMMANDS.get(argv[0]) if argv else None
+    if entry is None or len(argv) % 2 == 0:
+        return None
+    _, func, options = entry
+    given = {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        spec = options.get(flag)
+        if spec is None or "action" in spec or flag in given or value.startswith("-"):
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except (TypeError, ValueError):
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    args = {}
+    for flag, spec in options.items():
+        if flag not in given and spec.get("required"):
+            return None
+        args[flag[2:].replace("-", "_")] = given.get(flag, spec.get("default"))
+    return SimpleNamespace(**args, func=func)
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls.
+    """The argument parser, built from _SUBCOMMANDS on first use and shared
+    by later calls.
 
-    Parsing keeps no state between calls: each parse_args returns a fresh
+    main needs it only for an argv that _parse_canonical does not read, so
+    a plain call neither imports argparse nor builds a parser.  Parsing
+    keeps no state between calls: each parse_args returns a fresh
     namespace, so one parser serves every main() of a process.  The
     ``subcommands`` attribute maps each subcommand's name to its parser.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="dynkindex",
         description="Exact Dynkin indices of representations and sl2-subalgebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_table = sub.add_parser("table", help="summary table over all nine families")
-    p_table.add_argument("--format", choices=("json", "csv", "md"), default="md")
-    p_table.add_argument(
-        "--rank",
-        type=int,
-        default=5,
-        help="sample rank at which classical closed forms are evaluated",
-    )
-    p_table.set_defaults(func=_cmd_table)
-
-    p_index = sub.add_parser("index", help="sl2-subalgebra index of one orbit")
-    p_index.add_argument("--algebra", required=True, help="e.g. sl8, sp6, so13, C3, E6")
-    p_index.add_argument("--partition", required=True, help="comma-separated parts")
-    p_index.add_argument(
-        "--via",
-        choices=("partition", "adjoint", "simplest", "all"),
-        default="all",
-        help="which computation routes to run",
-    )
-    p_index.add_argument("--format", choices=("json", "csv", "md"), default="json")
-    p_index.set_defaults(func=_cmd_index)
-
-    p_rep = sub.add_parser("rep-index", help="Dynkin index of one irreducible")
-    p_rep.add_argument("--algebra", required=True)
-    p_rep.add_argument("--weight", required=True, help="fundamental-weight coordinates")
-    p_rep.add_argument("--format", choices=("json", "csv", "md"), default="json")
-    p_rep.set_defaults(func=_cmd_rep_index)
-
-    p_verify = sub.add_parser("verify", help="run the exhaustive check suite")
-    p_verify.add_argument(
-        "--only",
-        action="append",
-        metavar="CHECK",
-        help=f"restrict to named checks ({', '.join(CHECKS)})",
-    )
-    for key, name in _CONFIG_KEYS.items():
-        if name in BOUNDS:
-            p_verify.add_argument(f"--{key}", type=int)
-    p_verify.add_argument("--config", help="key-value config file (see README)")
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_poset = sub.add_parser("poset", help="orbit closure diagram")
-    p_poset.add_argument("--kind", choices=sl2.KINDS, required=True)
-    p_poset.add_argument("--n", type=int, required=True, help="module dimension")
-    p_poset.add_argument("--format", choices=("dot", "json"), default="dot")
-    p_poset.set_defaults(func=_cmd_poset)
+    for name, (help_text, func, options) in _SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options.items():
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(func=func)
     parser.subcommands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = parser.subcommands.get(argv[0]) if argv else None
-    if command is None:  # no argv, a top-level flag or an unknown command
-        args = parser.parse_args(argv)
-    else:
-        # The subcommand's parser reads its own tokens; parse_args on the
-        # top-level parser would classify them all first and then hand them
-        # down.  A leftover token gets the top-level parser's own message.
-        args, extras = command.parse_known_args(argv[1:])
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args = _parse_canonical(argv)
+    if args is None:  # every other form, with its messages and help texts
+        parser = build_parser()
+        command = parser.subcommands.get(argv[0]) if argv else None
+        if command is None:  # no argv, a top-level flag or an unknown command
+            args = parser.parse_args(argv)
+        else:
+            # The subcommand's parser reads its own tokens; parse_args on the
+            # top-level parser would classify them all first and then hand
+            # them down.  A leftover token gets the top-level parser's own
+            # message.
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args, sys.stdout)
     except (ValueError, OSError) as exc:

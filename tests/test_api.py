@@ -101,6 +101,14 @@ def test_every_public_function_is_reached_or_allow_listed():
                 fn.name for fn in cls.body if isinstance(fn, ast.FunctionDef)
                 and fn.name.startswith("__")
             )
+        # A module-level table, such as cli's subcommand table, points at
+        # every name its value loads.
+        for table in (node for node in module.body if isinstance(node, ast.Assign)):
+            for target in (t for t in table.targets if isinstance(t, ast.Name)):
+                graph.setdefault(target.id, set()).update(
+                    node.id for node in ast.walk(table.value)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                )
         for fn in (node for scope in (module, *classes) for node in scope.body):
             if isinstance(fn, ast.FunctionDef):
                 functions.add(fn.name)

@@ -15,7 +15,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynkindex import cli, orbits, sl2, verify
@@ -447,6 +447,67 @@ def test_exit_code_contract_holds_for_drawn_argv(argv):
     assert "Traceback" not in err.getvalue()
     if code == 2 and not from_argparse:
         assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+
+
+# A drawn argv, its stray token kept only half of the time, and half of the
+# time one of its flag-value pairs rewritten into a form that only argparse
+# reads, or left out (which makes verify without --only plain, and leaves a
+# required flag out elsewhere).
+_REWRITES = ("abbreviate", "equals", "repeat", "dash", "empty", "drop")
+
+
+@st.composite
+def _rewritten_argv(draw):
+    argv = draw(_argv())
+    if len(argv) % 2 == 0 and draw(st.booleans()):
+        argv.pop()  # the stray token
+    pairs = range(1, len(argv) - 1, 2)
+    rewrite = draw(st.sampled_from(_REWRITES)) if draw(st.booleans()) else None
+    if rewrite is None or not pairs:
+        return argv
+    i = draw(st.sampled_from(pairs))
+    flag = argv[i]
+    if rewrite == "abbreviate":
+        argv[i] = flag[: draw(st.integers(3, max(3, len(flag) - 1)))]
+    elif rewrite == "equals":
+        argv[i : i + 2] = [f"{flag}={argv[i + 1]}"]
+    elif rewrite == "repeat":
+        argv += [flag, draw(st.sampled_from(("1", "4", "A3", "json", "routes")))]
+    elif rewrite == "dash":
+        argv[i + 1] = draw(st.sampled_from(("-1,2", "--", "-1", "-")))
+    elif rewrite == "empty":
+        argv[i + 1] = ""
+    else:
+        del argv[i : i + 2]
+    return argv
+
+
+def _main_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rewritten_argv())
+@example(["verify", "--max-classical-rank", "2", "--format", "json"])
+@example(["poset", "--kind", "so", "--n", "5"])
+@example(["rep-index", "--algebra", "A2", "--weight", "-1,2"])
+@example(["index", "--algebra", "sl4", "--partition", "--"])
+@example(["table", "--rank", "-1"])
+def test_the_plain_reading_is_the_argparse_reading(argv):
+    plain = cli._parse_canonical(argv)
+    if plain is not None:
+        parsed, extras = build_parser().subcommands[argv[0]].parse_known_args(argv[1:])
+        assert (vars(plain), extras) == (vars(parsed), []), argv
+    outcome = _main_outcome(argv)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_parse_canonical", lambda argv: None)
+        assert outcome == _main_outcome(argv), argv
 
 
 def test_verify_subset(capsys):
@@ -939,6 +1000,73 @@ def test_parser_is_not_built_at_import():
     code = "from dynkindex import cli; print(cli.build_parser.cache_info().currsize)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+
+def test_a_plain_call_imports_neither_argparse_nor_csv():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = (
+        "import contextlib, io, sys\n"
+        "from dynkindex import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['rep-index', '--algebra', 'A2', '--weight', '1,1'])\n"
+        "    plain = sorted({'argparse', 'csv'} & set(sys.modules))\n"
+        "    try:\n"
+        "        cli.main(['--help'])\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "print(plain, 'argparse' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[] True\n"), proc.stderr
+
+
+def test_a_plain_argv_builds_no_parser(capsys):
+    # --only appends, so it is not a plain option: argparse reads those argv.
+    build_parser.cache_clear()
+    appended = [g for g in GOLDEN_CLI if "--only" in g[0]]
+    for argv, code, digest in [g for g in GOLDEN_CLI if g not in appended]:
+        got_code, out, _ = run(capsys, *argv)
+        assert (got_code, stdout_digest(out)) == (code, digest), argv
+    assert build_parser.cache_info().currsize == 0
+    code, out, _ = run(capsys, "rep-index", "--alg", "E6", "--weight", "1,0,0,0,0,0")
+    golden = {argv: (code, digest) for argv, code, digest in GOLDEN_CLI}
+    e6 = ("rep-index", "--algebra", "E6", "--weight", "1,0,0,0,0,0")
+    assert (code, stdout_digest(out)) == golden[e6]
+    assert build_parser.cache_info().misses == 1
+    for argv, code, digest in appended:
+        got_code, out, _ = run(capsys, *argv)
+        assert (got_code, stdout_digest(out)) == (code, digest), argv
+    assert build_parser.cache_info().misses == 1
+
+
+# sha256 of the stdout of each --help and the stderr of each USAGE_ERRORS
+# entry, recorded when each subcommand's add_argument calls were written
+# out one by one; argparse lays its text out differently across versions.
+HELP_DIGESTS = {
+    (): "b89d0d8305df63c3495134c4c27e25dca3e8762879c3c1a212ee6d7d19acfd99",
+    ("table",): "1404e75d6fad450c427b9476a97327f0cf9a4d3556187899368db3ae16a81cd5",
+    ("index",): "f86e1d213ae54567551bfc942b16c68e95dc132e5e805ff8a4ff0d3cd335a6bd",
+    ("rep-index",): "d833a56e8b525ad064ae81fd1c1c4783191e8ae878e82c5421743a4bf4c54032",
+    ("verify",): "6c76d5516c423b70535431ee3447a51a9ff60177f8ce6a421920b9487569b838",
+    ("poset",): "59b1c9fafaca375e99a09fca30d28a5b7b5040eb5e333af909ad21073eacc751",
+}
+USAGE_ERROR_DIGESTS = [
+    "259aad745b3657c6b04b0922b013e173c745d6cfb0d135d181b9c8216910977e",
+    "853bd53f285c4226780d8dc42bdd7cb30965f1fbf7347b2418ead99e196c06c7",
+    "f99cf390d533c92384ebc9e2382c8c8b1db77d529b69625b2061327b811c05c3",
+    "fd922b5803d9886b4f060d06d0724be9a17f0c48a32587e64050fcca6683d57c",
+    "a69012133dafac5b4a517bbabe061db86d04188f2e5ecaa0bd5fdc5c8aae4dd4",
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's layout is 3.11's")
+def test_help_and_usage_texts_are_argparses_unchanged(capsys):
+    for command, digest in HELP_DIGESTS.items():
+        code, out, err = _outcome(capsys, main, (*command, "--help"))
+        assert (code, stdout_digest(out), err) == (0, digest, ""), command
+    for argv, digest in zip(USAGE_ERRORS, USAGE_ERROR_DIGESTS):
+        assert stdout_digest(usage_error(capsys, argv)) == digest, argv
 
 
 GOLDEN_CONFIG = [
