@@ -8,9 +8,9 @@ failure, 2 usage error; errors go to stderr as "error: ...".  All output is
 deterministic; exact rationals are printed as "p/q" strings.
 
 Each subcommand and its options are declared once, in _SUBCOMMANDS.  A
-plain argv of "--flag value" pairs is read from that table alone; every
-other form, with every usage message and help text, goes to the argparse
-parser that build_parser makes from the same table.
+plain argv of "--flag value" pairs is read by a reader derived once from
+that table; every other form, with every usage message and help text, goes
+to the argparse parser that build_parser makes from the same table.
 """
 
 from __future__ import annotations
@@ -35,12 +35,14 @@ if TYPE_CHECKING:
 _MATRIX_RE = re.compile(rf"^({'|'.join(sl2.KINDS)})[_ ]?([0-9]+)$", re.IGNORECASE)
 
 
+@cache
 def parse_algebra(label: str) -> tuple[LieType, str | None, int | None]:
     """Resolve an algebra label to (type, classical kind, module size).
 
     Matrix labels like sl8/sp6/so13 fix the defining module; abstract
     classical labels are mapped to their matrix form, and exceptional labels
-    carry no classical kind.
+    carry no classical kind.  A label is resolved once per process; a bad
+    one is not cached, so it raises the same ValueError on every call.
     """
     m = _MATRIX_RE.match(label.strip())
     if m:
@@ -314,8 +316,8 @@ def _cmd_poset(args, out) -> int:
 
 # Each subcommand once: its help, its driver and its options, each a flag
 # with the keyword arguments of its add_argument call, in help order.
-# build_parser builds argparse's parsers from this table, and
-# _parse_canonical reads the plain "--flag value" argv with it.
+# build_parser builds argparse's parsers from this table, and _PLAIN, derived
+# from it once at import, reads the plain "--flag value" argv.
 _SUBCOMMANDS = {
     "table": ("summary table over all nine families", _cmd_table, {
         "--format": {"choices": ("json", "csv", "md"), "default": "md"},
@@ -358,6 +360,19 @@ _SUBCOMMANDS = {
 }
 
 
+def _plain_reader(func, options: dict) -> tuple[dict, frozenset, dict]:
+    """A subcommand as _parse_canonical reads it: store flag -> (dest, type,
+    choices), the required flags, and func with each default (or None) by dest."""
+    items = options.items()
+    dest = {flag: flag[2:].replace("-", "_") for flag in options}
+    store = {f: (dest[f], s.get("type"), s.get("choices")) for f, s in items if "action" not in s}
+    required = frozenset(f for f, s in items if s.get("required"))
+    return store, required, {**{dest[f]: s.get("default") for f, s in items}, "func": func}
+
+
+_PLAIN = {name: _plain_reader(func, options) for name, (_, func, options) in _SUBCOMMANDS.items()}
+
+
 def _parse_canonical(argv: list[str]) -> SimpleNamespace | None:
     """The namespace argparse would give for a plain argv, or None.
 
@@ -367,29 +382,29 @@ def _parse_canonical(argv: list[str]) -> SimpleNamespace | None:
     Any other argv (help, abbreviations, "--flag=value", repeats, --only,
     strays, bad values) is None, and main hands it to argparse.
     """
-    entry = _SUBCOMMANDS.get(argv[0]) if argv else None
+    entry = _PLAIN.get(argv[0]) if argv else None
     if entry is None or len(argv) % 2 == 0:
         return None
-    _, func, options = entry
-    given = {}
-    for flag, value in zip(argv[1::2], argv[2::2]):
-        spec = options.get(flag)
-        if spec is None or "action" in spec or flag in given or value.startswith("-"):
+    store, required, defaults = entry
+    flags = argv[1::2]
+    given = set(flags)
+    if len(given) < len(flags) or not required <= given:
+        return None
+    args = defaults.copy()
+    for flag, value in zip(flags, argv[2::2]):
+        option = store.get(flag)
+        if option is None or value.startswith("-"):
             return None
-        if "type" in spec:
+        dest, kind, choices = option
+        if kind is not None:
             try:
-                value = spec["type"](value)
+                value = kind(value)
             except (TypeError, ValueError):
                 return None
-        if "choices" in spec and value not in spec["choices"]:
+        if choices is not None and value not in choices:
             return None
-        given[flag] = value
-    args = {}
-    for flag, spec in options.items():
-        if flag not in given and spec.get("required"):
-            return None
-        args[flag[2:].replace("-", "_")] = given.get(flag, spec.get("default"))
-    return SimpleNamespace(**args, func=func)
+        args[dest] = value
+    return SimpleNamespace(**args)
 
 
 @cache

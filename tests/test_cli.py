@@ -45,8 +45,28 @@ def test_parse_algebra():
     assert parse_algebra("so13") == (LieType("B", 6), "so", 13)
     assert parse_algebra("C3") == (LieType("C", 3), "sp", 6)
     assert parse_algebra("E6") == (LieType("E", 6), None, None)
+    assert parse_algebra("SO8") == (LieType("D", 4), "so", 8)
+    assert parse_algebra(" sl8 ") == parse_algebra("sl_8") == (LieType("A", 7), "sl", 8)
+    assert parse_algebra("so 13") == (LieType("B", 6), "so", 13)
+    assert parse_algebra("e6") == (LieType("E", 6), None, None)
     with pytest.raises(ValueError):
         parse_algebra("sq9")
+
+
+def test_a_label_is_resolved_once_and_a_bad_label_every_time():
+    for label in ("sl8", "SO8", " sl8 ", "so 13", "e6"):
+        assert parse_algebra(label) is parse_algebra(label), label
+    bad = {
+        "sq9": "cannot parse Lie type label 'sq9'",
+        "sl1": "no simple type sl1: sl is A_n (n >= 1) at dim n+1",
+    }
+    cached = parse_algebra.cache_info().currsize
+    for label, message in bad.items():
+        for _ in range(3):
+            with pytest.raises(ValueError) as raised:
+                parse_algebra(label)
+            assert str(raised.value) == message
+    assert parse_algebra.cache_info().currsize == cached
 
 
 def test_index_classical(capsys):
