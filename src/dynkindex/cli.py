@@ -41,8 +41,9 @@ def parse_algebra(label: str) -> tuple[LieType, str | None, int | None]:
 
     Matrix labels like sl8/sp6/so13 fix the defining module; abstract
     classical labels are mapped to their matrix form, and exceptional labels
-    carry no classical kind.  A label is resolved once per process; a bad
-    one is not cached, so it raises the same ValueError on every call.
+    carry no classical kind.  Each label string is resolved once per
+    process and kept, so the cache grows with the distinct strings passed;
+    a bad label is not cached and raises the same ValueError on every call.
     """
     m = _MATRIX_RE.match(label.strip())
     if m:

@@ -334,17 +334,6 @@ def _clear_denominators(vector) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in vector], den
 
 
-def _product_tree(factors: list[int]) -> int:
-    # prod(factors) multiplied in pairs, level by level, so each product has
-    # operands of similar size; left to right, each step multiplies the whole
-    # partial product by one small factor, which is quadratic in its size.
-    # Each leaf is prod of up to 64 factors, faster while products are small.
-    factors = [prod(factors[i : i + 64]) for i in range(0, len(factors), 64)]
-    while len(factors) > 1:
-        factors = list(map(mul, factors[::2], factors[1::2])) + factors[len(factors) & ~1 :]
-    return prod(factors)
-
-
 def _int_bilinear(matrix, xs, ys) -> int:
     # xs^T matrix ys for integer vectors and an integer matrix.
     return sum(map(mul, xs, [sum(map(mul, row, ys)) for row in matrix]))
@@ -451,7 +440,7 @@ class RootSystem:
         # Over the positive roots, the Weyl denominator prod (rho, gamma) *
         # scale^N and sum (rho, gamma)^2 * scale^2 = h* (rho, rho) * scale^2.
         rho_pairings = self._scaled_root_pairings(int_norms)
-        self._rho_product = _product_tree(rho_pairings)
+        self._rho_product = prod(rho_pairings)
         self._rho_square_sum = sum(map(mul, rho_pairings, rho_pairings))
         self._index_denominator = self.dimension * scale**2 * self.dual_coxeter_number
         self._frozen = True

@@ -1,13 +1,14 @@
 """Paired benchmark runs of two checkouts of the repository: parent and change.
 
     python3 tools/paired.py PARENT_DIR CHANGE_DIR --workload queries \\
-        --pairs 10 --seeds 41-50 --seconds 8 --label parse-cache-queries
+        --seeds 41-50 --label parse-cache-queries
 
 Both trees are byte-compiled first (compileall), so neither side writes
-bytecode during its runs or reads stale bytecode.  Pair i runs seed
-seeds[i % len(seeds)] once on each tree, ``benchmarks/run.py --trace 0``,
-and the side that runs first alternates from pair to pair.  Each run's
-metrics are the JSON object that run.py prints as its last line.
+bytecode during its runs or reads stale bytecode.  There is one pair per
+seed: it runs ``benchmarks/run.py --trace 0`` with that seed once on each
+tree, for the run_seconds of the parent's BENCHMARK.json, and the side that
+runs first alternates from pair to pair.  Each run's metrics are the JSON
+object that run.py prints as its last line.
 
 For each end-to-end metric of the parent's BENCHMARK.json the tool prints
 each side's median with [q1, q3], the pairs the change wins (ties count for
@@ -100,33 +101,29 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", required=True, help="A-B, inclusive, or one seed")
-    parser.add_argument("--seconds", type=float, default=8)
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
     args = parser.parse_args(argv)
     try:
         seeds = parse_seeds(args.seeds)
     except ValueError as exc:
         parser.error(f"--seeds: {exc}")
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
         for sub in ("src", "benchmarks"):
             if not compileall.compile_dir(tree / sub, quiet=1):
                 print(f"error: compileall failed under {tree / sub}", file=sys.stderr)
                 return 1
-    declared = json.loads((trees["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
+    declared, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
 
     runs = []
-    for i in range(args.pairs):
-        seed = seeds[i % len(seeds)]
+    for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         run = {"pair": i + 1, "seed": seed, "first": order[0]}
         for side in order:
-            run[side] = bench_run(trees[side], args.workload, seed, args.seconds)
-        print(f"pair {i + 1}/{args.pairs} seed {seed}, {order[0]} first", file=sys.stderr)
+            run[side] = bench_run(trees[side], args.workload, seed, seconds)
+        print(f"pair {i + 1}/{len(seeds)} seed {seed}, {order[0]} first", file=sys.stderr)
         runs.append(run)
 
     metrics, ok = {}, True
@@ -156,9 +153,9 @@ def main(argv=None) -> int:
         "workload": args.workload,
         "python": platform.python_version(),
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-        "pairs": args.pairs,
-        "seeds": [run["seed"] for run in runs],
-        "seconds": args.seconds,
+        "pairs": len(seeds),
+        "seeds": seeds,
+        "seconds": seconds,
         "metrics": metrics,
         "runs": runs,
     }
