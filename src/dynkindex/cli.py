@@ -8,9 +8,9 @@ failure, 2 usage error; errors go to stderr as "error: ...".  All output is
 deterministic; exact rationals are printed as "p/q" strings.
 
 Each subcommand and its options are declared once, in _SUBCOMMANDS.  A
-plain argv of "--flag value" pairs is read by a reader derived once from
-that table; every other form, with every usage message and help text, goes
-to the argparse parser that build_parser makes from the same table.
+plain argv of "--flag value" pairs is read from that table alone; every
+other form, with every usage message and help text, goes to the argparse
+parser that build_parser makes from the same table.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ def index_report(algebra: str, partition, via: str = "all") -> tuple[sl2.IndexRe
 
 def rep_index_report(algebra: str, weight) -> dict:
     lt, _, _ = parse_algebra(algebra)
-    rs = build(lt)
-    report = reps.dynkin_index(rs, weight)
+    weight = reps._check_weight(lt, weight)  # before the build, which grows with the rank
+    report = reps.dynkin_index(build(lt), weight)
     return {
         "algebra": algebra,
         "type": str(lt),
@@ -317,8 +317,8 @@ def _cmd_poset(args, out) -> int:
 
 # Each subcommand once: its help, its driver and its options, each a flag
 # with the keyword arguments of its add_argument call, in help order.
-# build_parser builds argparse's parsers from this table, and _PLAIN, derived
-# from it once at import, reads the plain "--flag value" argv.
+# build_parser builds argparse's parsers from this table, and
+# _parse_canonical reads the plain "--flag value" argv with it.
 _SUBCOMMANDS = {
     "table": ("summary table over all nine families", _cmd_table, {
         "--format": {"choices": ("json", "csv", "md"), "default": "md"},
@@ -361,19 +361,6 @@ _SUBCOMMANDS = {
 }
 
 
-def _plain_reader(func, options: dict) -> tuple[dict, frozenset, dict]:
-    """A subcommand as _parse_canonical reads it: store flag -> (dest, type,
-    choices), the required flags, and func with each default (or None) by dest."""
-    items = options.items()
-    dest = {flag: flag[2:].replace("-", "_") for flag in options}
-    store = {f: (dest[f], s.get("type"), s.get("choices")) for f, s in items if "action" not in s}
-    required = frozenset(f for f, s in items if s.get("required"))
-    return store, required, {**{dest[f]: s.get("default") for f, s in items}, "func": func}
-
-
-_PLAIN = {name: _plain_reader(func, options) for name, (_, func, options) in _SUBCOMMANDS.items()}
-
-
 def _parse_canonical(argv: list[str]) -> SimpleNamespace | None:
     """The namespace argparse would give for a plain argv, or None.
 
@@ -383,29 +370,29 @@ def _parse_canonical(argv: list[str]) -> SimpleNamespace | None:
     Any other argv (help, abbreviations, "--flag=value", repeats, --only,
     strays, bad values) is None, and main hands it to argparse.
     """
-    entry = _PLAIN.get(argv[0]) if argv else None
+    entry = _SUBCOMMANDS.get(argv[0]) if argv else None
     if entry is None or len(argv) % 2 == 0:
         return None
-    store, required, defaults = entry
-    flags = argv[1::2]
-    given = set(flags)
-    if len(given) < len(flags) or not required <= given:
-        return None
-    args = defaults.copy()
-    for flag, value in zip(flags, argv[2::2]):
-        option = store.get(flag)
-        if option is None or value.startswith("-"):
+    _, func, options = entry
+    given = {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        spec = options.get(flag)
+        if spec is None or "action" in spec or flag in given or value.startswith("-"):
             return None
-        dest, kind, choices = option
-        if kind is not None:
+        if "type" in spec:
             try:
-                value = kind(value)
+                value = spec["type"](value)
             except (TypeError, ValueError):
                 return None
-        if choices is not None and value not in choices:
+        if "choices" in spec and value not in spec["choices"]:
             return None
-        args[dest] = value
-    return SimpleNamespace(**args)
+        given[flag] = value
+    args = {}
+    for flag, spec in options.items():
+        if flag not in given and spec.get("required"):
+            return None
+        args[flag[2:].replace("-", "_")] = given.get(flag, spec.get("default"))
+    return SimpleNamespace(**args, func=func)
 
 
 @cache

@@ -33,12 +33,10 @@ class RepIndexReport:
     is_integer: bool
 
 
-def _check_weight(rs: RootSystem, weight) -> tuple[int, ...]:
+def _check_weight(lt: LieType, weight) -> tuple[int, ...]:
     weight = tuple(_integers(weight, "weight coordinate"))
-    if len(weight) != rs.rank:
-        raise ValueError(
-            f"weight has {len(weight)} coordinates, {rs.lie_type} has rank {rs.rank}"
-        )
+    if len(weight) != lt.rank:
+        raise ValueError(f"weight has {len(weight)} coordinates, {lt} has rank {lt.rank}")
     if min(weight) < 0:
         raise ValueError("highest weight coordinates must be nonnegative")
     return weight
@@ -66,7 +64,7 @@ def dynkin_index(rs: RootSystem, weight) -> RepIndexReport:
     product and the square sum are this walk's own; ``_index_numerator``
     divides.  The zero weight yields the trivial module: dimension 1, index 0.
     """
-    weight = _check_weight(rs, weight)
+    weight = _check_weight(rs.lie_type, weight)
     shifted = list(map(add, map(mul, weight, rs._int_norms), rs._int_norms))
     pairings = rs._scaled_root_pairings(shifted)
     dim, numerator = _index_numerator(rs, weight, prod(pairings), sum(map(mul, pairings, pairings)))

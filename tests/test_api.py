@@ -19,6 +19,7 @@ def test_root_level_api():
         "so", (7, 1)
     )
     assert dynkindex.mckay_data(dynkindex.LieType("E", 8)).group_order == 120
+    assert dynkindex.mckay_data(dynkindex.LieType("G", 2)) == dynkindex.McKayData(4, 4, 8)
     assert dynkindex.__version__
 
 

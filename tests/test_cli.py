@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynkindex import cli, orbits, sl2, verify
+from dynkindex import cli, orbits, rootsystems, sl2, verify
 from dynkindex.cli import (
     build_parser,
     index_report,
@@ -40,12 +40,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def python(*args):
+    """sys.executable run with args, src first on PYTHONPATH; text output."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 def test_parse_algebra():
     assert parse_algebra("sl8") == (LieType("A", 7), "sl", 8)
     assert parse_algebra("so13") == (LieType("B", 6), "so", 13)
     assert parse_algebra("C3") == (LieType("C", 3), "sp", 6)
     assert parse_algebra("E6") == (LieType("E", 6), None, None)
     assert parse_algebra("SO8") == (LieType("D", 4), "so", 8)
+    assert index_report("SO8", (3, 3, 1, 1))[1]["consistent"] is True
     assert parse_algebra(" sl8 ") == parse_algebra("sl_8") == (LieType("A", 7), "sl", 8)
     assert parse_algebra("so 13") == (LieType("B", 6), "so", 13)
     assert parse_algebra("e6") == (LieType("E", 6), None, None)
@@ -113,6 +121,8 @@ def test_index_usage_errors(capsys):
         ("index", "--algebra", "sl4", "--partition", "4", "--via", "simplest"),
         ("index", "--algebra", "sl4", "--partition", "x,y"),
         ("index", "--algebra", "Q4", "--partition", "4"),
+        *(("index", "--algebra", algebra, "--partition", "1")  # no simple type
+          for algebra in ("sl1", "sp5", "so3", "so4")),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
@@ -142,22 +152,37 @@ def test_rep_index_arity_error(capsys):
     assert code == 2 and "rank" in err
 
 
+@pytest.mark.parametrize("weight, message", [
+    (["--weight", "1"], "weight has 1 coordinates, A300 has rank 300"),
+    (["--weight=-1" + ",0" * 299], "highest weight coordinates must be nonnegative"),
+], ids=["arity", "negative"])
+def test_a_bad_weight_is_refused_before_the_root_system_is_built(
+    capsys, monkeypatch, weight, message
+):
+    # A300 takes seconds to build; the weight is checked against the type first.
+    def refuse(self, lie_type):
+        raise AssertionError(f"{lie_type} was built")
+
+    monkeypatch.setattr(rootsystems.RootSystem, "__init__", refuse)
+    code, out, err = run(capsys, "rep-index", "--algebra", "A300", *weight)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_table_values(capsys):
     code, out, _ = run(capsys, "table", "--format", "json")
     assert code == 0
-    payload = json.loads(out)
-    by_label = {col["label"]: col["cells"] for col in payload["columns"]}
-    assert by_label["E6"]["principal-index"]["value"] == "156"
-    assert by_label["E6"]["difference"]["value"] == "72"
-    assert by_label["E6"]["a"]["value"] == "6"
-    assert by_label["E6"]["b"]["value"] == "8"
-    assert by_label["E6"]["ratio"]["value"] == "3/2"
-    assert by_label["G2"]["ratio"]["value"] == "3"
-    d5 = by_label["D_n (n=5)"]
-    assert d5["principal-index"]["value"] == "60"
-    assert d5["difference"]["value"] == "30"
-    assert (d5["a"]["value"], d5["b"]["value"]) == ("4", "6")
-    assert d5["ratio"]["value"] == "1"
+    columns = json.loads(out)["columns"]
+    assert [col["label"] for col in columns] == [
+        "A_n (n=5)", "B_n (n=5)", "C_n (n=5)", "D_n (n=5)", "E6", "E7", "E8", "F4", "G2"
+    ]
+    values = {q: ",".join(col["cells"][q]["value"] for col in columns) for q in columns[0]["cells"]}
+    assert values == {
+        "principal-index": "35,110,165,60,156,399,1240,156,28",
+        "difference": "15,50,80,30,72,168,480,96,24",
+        "a": "2,2,4,4,6,8,12,6,4",
+        "b": "6,10,8,6,8,12,20,8,4",
+        "ratio": "1/2,1,2,1,3/2,2,3,3,3",
+    }
 
 
 def parse_markdown_table(text):
@@ -593,8 +618,9 @@ def test_poset_json(capsys):
 
 
 def test_poset_usage_error(capsys):
-    code, _, err = run(capsys, "poset", "--kind", "sp", "--n", "5")
-    assert code == 2 and "even" in err
+    for n in ("5", "7"):
+        code, _, err = run(capsys, "poset", "--kind", "sp", "--n", n)
+        assert code == 2 and "even" in err, n
 
 
 def test_output_is_deterministic(capsys):
@@ -609,17 +635,43 @@ def test_output_is_deterministic(capsys):
 
 
 def test_verify_output_is_the_same_under_python_O():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    argv = ["-m", "dynkindex.cli", "verify"]
-    runs = [
-        subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True)
-        for flags in ([], ["-O"])
-    ]
+    # Under -O only _require guards the exact kernel.
+    argv = ("-m", "dynkindex.cli", "verify")
+    runs = [python(*flags, *argv) for flags in ((), ("-O",))]
     assert [r.returncode for r in runs] == [0, 0]
     assert runs[0].stdout == runs[1].stdout
-    assert b"13892 irreducibles checked" in runs[1].stdout
-    assert runs[1].stdout.endswith(b"10/10 checks passed\n")
+    assert "13892 irreducibles checked" in runs[1].stdout
+    assert runs[1].stdout.endswith("10/10 checks passed\n")
+    sweep = python("-O", *argv, "--only", "integrality", "--format", "json")
+    assert (sweep.returncode, json.loads(sweep.stdout)) == (0, {
+        "checks": [{
+            "name": "integrality", "passed": True,
+            "detail": "13892 irreducibles checked", "counterexamples": [],
+        }],
+        "passed": True,
+    }), sweep.stderr
+
+
+def test_large_rank_builds_under_python_O():
+    # The packed root keys are widest here, and under -O only _require
+    # guards the closure: |positive roots| and h of each type.
+    code = (
+        "from dynkindex import build\n"
+        "for label in ('A60', 'B40', 'C40', 'D50', 'E8'):\n"
+        "    rs = build(label)\n"
+        "    print(label, len(rs.positive_roots), rs.coxeter_number)\n"
+    )
+    proc = python("-O", "-c", code)
+    assert (proc.returncode, proc.stdout.splitlines()) == (0, [
+        "A60 1830 61", "B40 1600 80", "C40 1600 80", "D50 2450 98", "E8 120 30"
+    ]), proc.stderr
+
+
+def test_the_module_entry_point_runs_with_every_warning_an_error():
+    proc = python("-W", "error", "-m", "dynkindex.cli", "verify", "--max-classical-rank", "4",
+                  "--max-partition-size", "6", "--max-identity-n", "5")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith("10/10 checks passed\n")
 
 
 def test_table_payload_rejects_low_rank():
@@ -802,6 +854,131 @@ def test_golden_poset_output(capsys, case, digest):
     assert (code, stdout_digest(out)) == (0, digest)
 
 
+# The console-script cases: the paper's values and the CLI's contract, each
+# argv as a shell would pass it to the installed `dynkindex`.  A row gives
+# the argv ("{cfg}" is a file holding the row's config text), the exit code
+# (an argparse refusal's is its SystemExit code), lines that stdout holds
+# whole, text that stderr holds, and probes: functions of stdout, each
+# with the value it must return.  Stderr is empty exactly when the code is 0,
+# and a row that writes json prints json.dumps(..., indent=2) of its payload
+# (the payloads of JSON_PAYLOADS are checked through _emit itself).
+Case = namedtuple("Case", "argv code lines err probes config", defaults=(0, (), "", (), None))
+
+
+def _dot_counts(out):  # node lines and edge lines
+    lines = out.splitlines()
+    return sum("[label=" in line for line in lines), sum("->" in line for line in lines)
+
+
+def _poset_shape(out):
+    poset = json.loads(out)
+    return len(poset["nodes"]), len(poset["covers"])
+
+
+def _poset_indices(out):
+    return ",".join(node["index"] for node in json.loads(out)["nodes"])
+
+
+def _check_fields(out):
+    return [(check["name"], list(check)) for check in json.loads(out)["checks"]]
+
+
+def _orbit_index(algebra, parts, value):
+    # Both routes of the orbit's index, and the value printed, in csv.
+    argv = f"index --algebra {algebra} --partition {parts} --format csv"
+    lines = [f"value,{value}", f"routes.adjoint-branching,{value}",
+             f"routes.partition-formula,{value}"]
+    return Case(argv, lines=lines)
+
+
+def _staircase(top, step):
+    return ",".join(map(str, range(top, 0, -step)))
+
+
+CLI_CASES = [
+    # The identities and both index routes beyond the default bounds.
+    Case("verify --only identities --only routes --max-identity-n 16 --max-partition-size 14",
+         lines=["2/2 checks passed"]),
+    # Structure and mckay to rank 20: the mckay partners run up to A39 and
+    # D21, and their highest roots are climbed, not built.
+    Case("verify --only structure --only mckay --max-classical-rank 20", lines=[
+        "ok   structure          81 root systems checked",
+        "ok   mckay              78 types checked",
+    ]),
+    # The unfolding pairs of the one partner map, and the summary rows that
+    # table and difference-bounds both read.
+    Case("verify --only unfolding --only difference-bounds", lines=[
+        "ok   unfolding          16 pairs checked",
+        "ok   difference-bounds  38 types observed",
+    ]),
+    # The integrality sweep: the nonzero weights with coordinates <= 2 of
+    # every type to rank 6, then to rank 3.
+    Case("verify --only integrality", lines=["ok   integrality        13892 irreducibles checked"]),
+    Case("verify --only integrality --max-classical-rank 3",
+         lines=["ok   integrality        9692 irreducibles checked"]),
+    # Flags override the config file's keys, and each json check is a
+    # CheckResult, field for field.
+    Case("verify --config {cfg} --only minimal-orbit --format json", probes=[(
+        _check_fields, [("minimal-orbit", ["name", "passed", "detail", "counterexamples"])]
+    )], config="only = identities\nmax-identity-n = 5\n"),
+    Case("verify --format json --max-classical-rank 4 --max-partition-size 6 --max-identity-n 5"),
+    # The summary table at rank 5 (its json values: test_table_values).
+    Case("table --format csv", lines=[
+        'principal-index,"C(n+2,3) = 35","C(2n+2,3)/2 = 110","C(2n+1,3) = 165",'
+        '"C(2n,3)/2 = 60",156,399,1240,156,28',
+        'difference,"C(n+1,2) = 15",2n^2 = 50,4n(n-1) = 80,2n(n-2) = 30,72,168,480,96,24',
+        "a,2,2,4,4,6,8,12,6,4",
+        "b,n+1 = 6,2n = 10,2n-2 = 8,2n-4 = 6,8,12,20,8,4",
+    ]),
+    # The sl6 poset's 11 orbits and 12 covers, sl16's shape, which runs
+    # build_poset's single-move check beyond the golden sizes, and so8's
+    # shape and node indices.
+    Case("poset --kind sl --n 6 --format dot", probes=[(_dot_counts, (11, 12))]),
+    Case("poset --kind sl --n 16 --format json", probes=[(_poset_shape, (231, 459))]),
+    Case("poset --kind so --n 8 --format json", probes=[
+        (_poset_shape, (10, 11)), (_poset_indices, "28,12,10,10,4,3,2,2,1,0"),
+    ]),
+    # The adjoint module of E8 has index 2h* = 60, and the 27-dimensional
+    # module of E6 has index 6.
+    Case("rep-index --algebra E8 --weight 0,0,0,0,0,0,0,1 --format csv",
+         lines=["dimension,248", "index,60"]),
+    Case("rep-index --algebra E6 --weight 1,0,0,0,0,0 --format csv",
+         lines=["dimension,27", "index,6"]),
+    # Orbit indices where parts repeat, so the adjoint branching of each kind
+    # takes its CG(a, a) C(m, 2) and square terms; then one staircase of
+    # distinct parts a kind, whose labels run up to 118.
+    _orbit_index("sl8", "3,3,2", 9),
+    _orbit_index("sp8", "3,3,2", 9),
+    _orbit_index("so9", "3,3,1,1,1", 4),
+    _orbit_index("sl1830", _staircase(60, 1), 557845),
+    _orbit_index("sp420", _staircase(40, 2), 58730),
+    _orbit_index("so400", _staircase(39, 2), 26600),
+    # A repeated flag: argparse reads it, and the last one wins.
+    Case("index --algebra sl4 --partition 4 --format md --format csv",
+         lines=["field,value", "value,10"]),
+    # A leftover argument is reported by the top-level parser, as argparse words it.
+    Case("rep-index --algebra A2 --weight 1,1 extra", code=2,
+         err="dynkindex: error: unrecognized arguments: extra"),
+]
+
+
+@pytest.mark.parametrize("case", CLI_CASES, ids=[case.argv for case in CLI_CASES])
+def test_console_script_case(tmp_path, capsys, case):
+    cfg = tmp_path / "verify.cfg"
+    if case.config is not None:
+        cfg.write_text(case.config)
+    argv = case.argv.replace("{cfg}", str(cfg)).split()
+    code, out, err = _outcome(capsys, main, argv)
+    assert (code, bool(err)) == (case.code, case.code != 0), err
+    assert case.err in err, err
+    missing = [line for line in case.lines if line not in out.splitlines()]
+    assert not missing, out
+    for probe, expected in case.probes:
+        assert probe(out) == expected, probe.__name__
+    if code == 0 and writes_json(argv):
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def emitted_json(value) -> str:
     buf = io.StringIO()
     cli._emit(value, "json", buf)
@@ -921,6 +1098,7 @@ def usage_error(capsys, argv):
         main(list(argv))
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage:"), argv
     return captured.err
 
 
@@ -1015,16 +1193,11 @@ def test_usage_errors_read_as_the_top_level_parse_writes_them(capsys, argv):
 
 
 def test_parser_is_not_built_at_import():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    code = "from dynkindex import cli; print(cli.build_parser.cache_info().currsize)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = python("-c", "from dynkindex import cli; print(cli.build_parser.cache_info().currsize)")
     assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
 def test_a_plain_call_imports_neither_argparse_nor_csv():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     code = (
         "import contextlib, io, sys\n"
         "from dynkindex import cli\n"
@@ -1037,7 +1210,7 @@ def test_a_plain_call_imports_neither_argparse_nor_csv():
         "        pass\n"
         "print(plain, 'argparse' in sys.modules)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = python("-c", code)
     assert (proc.returncode, proc.stdout) == (0, "[] True\n"), proc.stderr
 
 
@@ -1049,10 +1222,13 @@ def test_a_plain_argv_builds_no_parser(capsys):
         got_code, out, _ = run(capsys, *argv)
         assert (got_code, stdout_digest(out)) == (code, digest), argv
     assert build_parser.cache_info().currsize == 0
-    code, out, _ = run(capsys, "rep-index", "--alg", "E6", "--weight", "1,0,0,0,0,0")
+    # An abbreviated flag and "--flag=value": argparse's forms, the plain form's output.
+    abbreviated = ("rep-index", "--alg", "E6", "--weight=1,0,0,0,0,0", "--format", "csv")
+    code, out, _ = run(capsys, *abbreviated)
     golden = {argv: (code, digest) for argv, code, digest in GOLDEN_CLI}
-    e6 = ("rep-index", "--algebra", "E6", "--weight", "1,0,0,0,0,0")
+    e6 = ("rep-index", "--algebra", "E6", "--weight", "1,0,0,0,0,0", "--format", "csv")
     assert (code, stdout_digest(out)) == golden[e6]
+    assert "index,6" in out.splitlines()
     assert build_parser.cache_info().misses == 1
     for argv, code, digest in appended:
         got_code, out, _ = run(capsys, *argv)

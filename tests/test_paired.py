@@ -1,6 +1,8 @@
-"""The statistics of tools/paired.py on fixed inputs; nothing is run."""
+"""The statistics and source digests of tools/paired.py on fixed inputs and
+temporary trees; no benchmark is run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -50,3 +52,52 @@ def test_seed_ranges_are_inclusive():
     assert paired.parse_seeds("7") == [7]
     with pytest.raises(ValueError):
         paired.parse_seeds("5-3")
+
+
+def _tree(root: Path, *, value: str = "1") -> Path:
+    for name, text in {
+        "src/pkg/mod.py": f"VALUE = {value}\n",
+        "benchmarks/goldens/g.json": "{}\n",
+        "BENCHMARK.json": json.dumps({"end_to_end": [], "run_seconds": 1}),
+        "README.md": "not a source\n",
+    }.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+def test_the_source_digest_covers_src_and_benchmarks_but_not_bytecode(tmp_path):
+    tree = _tree(tmp_path / "t")
+    digest = paired.source_digest(tree)
+    assert digest == paired.source_digest(_tree(tmp_path / "u"))  # paths are relative
+    (tree / "src/pkg/__pycache__").mkdir()
+    (tree / "src/pkg/__pycache__/mod.cpython-311.pyc").write_bytes(b"\0")
+    (tree / "README.md").write_text("edited\n")
+    assert paired.source_digest(tree) == digest
+    (tree / "benchmarks/goldens/g.json").write_text("{ }\n")
+    assert paired.source_digest(tree) != digest
+    assert paired.source_digest(_tree(tmp_path / "v", value="2")) != digest
+    moved = _tree(tmp_path / "w")  # the same bytes under another name
+    (moved / "src/pkg/mod.py").rename(moved / "src/pkg/other.py")
+    assert paired.source_digest(moved) != digest
+
+
+def test_a_tree_edited_during_a_pair_stops_the_tool_and_is_named(tmp_path, monkeypatch, capsys):
+    parent, change = _tree(tmp_path / "parent"), _tree(tmp_path / "change")
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds):  # the second pair's change run edits its tree
+        calls.append((tree.name, seed))
+        if len(calls) == 3:
+            (change / "src/pkg/mod.py").write_text("VALUE = 2\n")
+        return {"correct": True, "attempted": 1, "failed": 0, "host_speed": 1.0, "metrics": {}}
+
+    monkeypatch.setattr(paired, "bench_run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    argv = [str(parent), str(change), "--workload", "w", "--seeds", "1-3", "--label", "x"]
+    assert paired.main(argv) == 1
+    assert calls == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2)]
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: sources changed during pair 2: change ({change.resolve()})"
+    )
+    assert not (tmp_path / "BENCH_x.json").exists()

@@ -4,7 +4,11 @@
         --seeds 41-50 --label parse-cache-queries
 
 Both trees are byte-compiled first (compileall), so neither side writes
-bytecode during its runs or reads stale bytecode.  There is one pair per
+bytecode during its runs or reads stale bytecode, and the sha256 of each
+tree's sources (every file under src/ and benchmarks/ but bytecode) is
+recorded; it is taken again after every pair, and a tree whose sources
+changed mid-run stops the tool with exit 1, naming the tree, since its
+runs no longer measure one version of the code.  There is one pair per
 seed: it runs ``benchmarks/run.py --trace 0`` with that seed once on each
 tree, for the run_seconds of the parent's BENCHMARK.json, and the side that
 runs first alternates from pair to pair.  Each run's metrics are the JSON
@@ -18,13 +22,14 @@ worse than the parent's by more than the metric's bound (a fraction of the
 parent's median).  It writes all of it, with every run, the Python version
 and PYTHONDONTWRITEBYTECODE, to BENCH_<label>.json in the current
 directory.  Exit code 0, or 1 when a run failed, mismatched its goldens or
-a metric breached its bound.
+a metric breached its bound, or when a tree's sources changed.
 """
 
 from __future__ import annotations
 
 import argparse
 import compileall
+import hashlib
 import json
 import os
 import platform
@@ -36,6 +41,8 @@ from pathlib import Path
 
 # run.py stops itself after 170 s.
 RUN_TIMEOUT_S = 200
+# The directories of a tree whose files the runs read: the code and the benchmark.
+SOURCES = ("src", "benchmarks")
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -75,6 +82,18 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def source_digest(tree: Path) -> str:
+    """sha256 over the relative path and the sha256 of every file under the
+    tree's SOURCES, in path order; bytecode (__pycache__) is left out."""
+    digest = hashlib.sha256()
+    for sub in SOURCES:
+        for path in sorted((tree / sub).rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                digest.update(path.relative_to(tree).as_posix().encode() + b"\0")
+                digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
 def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``benchmarks/run.py`` run in tree: its correctness counts, each
     metric's value by name, and the host speed its report names."""
@@ -110,10 +129,11 @@ def main(argv=None) -> int:
         parser.error(f"--seeds: {exc}")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
-        for sub in ("src", "benchmarks"):
+        for sub in SOURCES:
             if not compileall.compile_dir(tree / sub, quiet=1):
                 print(f"error: compileall failed under {tree / sub}", file=sys.stderr)
                 return 1
+    digests = {side: source_digest(tree) for side, tree in trees.items()}
     benchmark = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
     declared, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
 
@@ -125,6 +145,11 @@ def main(argv=None) -> int:
             run[side] = bench_run(trees[side], args.workload, seed, seconds)
         print(f"pair {i + 1}/{len(seeds)} seed {seed}, {order[0]} first", file=sys.stderr)
         runs.append(run)
+        changed = [side for side, tree in trees.items() if source_digest(tree) != digests[side]]
+        if changed:
+            named = ", ".join(f"{side} ({trees[side]})" for side in changed)
+            print(f"error: sources changed during pair {i + 1}: {named}", file=sys.stderr)
+            return 1
 
     metrics, ok = {}, True
     print(f"{'metric':<14} {'parent median [q1, q3]':<32} {'change median [q1, q3]':<32} "
