@@ -149,7 +149,7 @@ def index_report(algebra: str, partition, via: str = "all") -> tuple[sl2.IndexRe
 def rep_index_report(algebra: str, weight) -> dict:
     lt, _, _ = parse_algebra(algebra)
     weight = reps._check_weight(lt, weight)  # before the build, which grows with the rank
-    report = reps.dynkin_index(build(lt), weight)
+    report = reps._dynkin_index(build(lt), weight)
     return {
         "algebra": algebra,
         "type": str(lt),
@@ -392,7 +392,7 @@ def _parse_canonical(argv: list[str]) -> SimpleNamespace | None:
         if flag not in given and spec.get("required"):
             return None
         args[flag[2:].replace("-", "_")] = given.get(flag, spec.get("default"))
-    return SimpleNamespace(**args, func=func)
+    return SimpleNamespace(command=argv[0], **args, func=func)
 
 
 @cache
@@ -403,8 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     main needs it only for an argv that _parse_canonical does not read, so
     a plain call neither imports argparse nor builds a parser.  Parsing
     keeps no state between calls: each parse_args returns a fresh
-    namespace, so one parser serves every main() of a process.  The
-    ``subcommands`` attribute maps each subcommand's name to its parser.
+    namespace, so one parser serves every main() of a process.
     """
     import argparse
 
@@ -418,26 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kwargs in options.items():
             command.add_argument(flag, **kwargs)
         command.set_defaults(func=func)
-    parser.subcommands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parse_canonical(argv)
-    if args is None:  # every other form, with its messages and help texts
-        parser = build_parser()
-        command = parser.subcommands.get(argv[0]) if argv else None
-        if command is None:  # no argv, a top-level flag or an unknown command
-            args = parser.parse_args(argv)
-        else:
-            # The subcommand's parser reads its own tokens; parse_args on the
-            # top-level parser would classify them all first and then hand
-            # them down.  A leftover token gets the top-level parser's own
-            # message.
-            args, extras = command.parse_known_args(argv[1:])
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    # Every form but the plain one, with its messages and help texts, is argparse's.
+    args = _parse_canonical(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
     except (ValueError, OSError) as exc:

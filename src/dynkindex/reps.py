@@ -64,7 +64,11 @@ def dynkin_index(rs: RootSystem, weight) -> RepIndexReport:
     product and the square sum are this walk's own; ``_index_numerator``
     divides.  The zero weight yields the trivial module: dimension 1, index 0.
     """
-    weight = _check_weight(rs.lie_type, weight)
+    return _dynkin_index(rs, _check_weight(rs.lie_type, weight))
+
+
+def _dynkin_index(rs: RootSystem, weight: tuple[int, ...]) -> RepIndexReport:
+    # dynkin_index of a weight that _check_weight has already returned.
     shifted = list(map(add, map(mul, weight, rs._int_norms), rs._int_norms))
     pairings = rs._scaled_root_pairings(shifted)
     dim, numerator = _index_numerator(rs, weight, prod(pairings), sum(map(mul, pairings, pairings)))
@@ -162,9 +166,12 @@ _SIMPLEST = {
 }
 
 
+@lru_cache(maxsize=None)
 def simplest_representation(lt: LieType) -> tuple[tuple[int, ...], int, str]:
     """Highest weight, dimension and classical target of the smallest
-    faithful module of an exceptional algebra."""
+    faithful module of an exceptional algebra.  Its dimension is checked on
+    the first call for each type and kept; a refused type is not cached and
+    raises on every call."""
     key = str(lt)
     if key not in _SIMPLEST:
         raise ValueError(f"{lt} is not exceptional")

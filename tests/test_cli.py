@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynkindex import cli, orbits, rootsystems, sl2, verify
+from dynkindex import cli, orbits, reps, rootsystems, sl2, verify
 from dynkindex.cli import (
     build_parser,
     index_report,
@@ -166,6 +166,40 @@ def test_a_bad_weight_is_refused_before_the_root_system_is_built(
     monkeypatch.setattr(rootsystems.RootSystem, "__init__", refuse)
     code, out, err = run(capsys, "rep-index", "--algebra", "A300", *weight)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_warm_rep_index_checks_its_weight_once(capsys, monkeypatch):
+    argv = ("rep-index", "--algebra", "E6", "--weight", "1,0,0,0,0,0")
+    run(capsys, *argv)  # warm: the label and the root system are cached
+    checks = []
+
+    def counted(lt, weight):
+        checks.append(weight)
+        return check(lt, weight)
+
+    check = reps._check_weight
+    monkeypatch.setattr(reps, "_check_weight", counted)
+    code, out, _ = run(capsys, *argv)
+    assert (code, json.loads(out)["index"]) == (0, "6")
+    assert checks == [(1, 0, 0, 0, 0, 0)]
+
+
+def test_a_second_simplest_call_walks_no_roots(capsys, monkeypatch):
+    argv = ("index", "--algebra", "F4", "--partition", "17,9", "--via", "simplest")
+    first = run(capsys, *argv)
+    walks = []
+
+    def counted(self, shifted):
+        walks.append(self.lie_type)
+        return walk(self, shifted)
+
+    walk = rootsystems.RootSystem._scaled_root_pairings
+    monkeypatch.setattr(rootsystems.RootSystem, "_scaled_root_pairings", counted)
+    assert run(capsys, *argv) == first
+    assert walks == []
+    for _ in range(2):  # a refused type is not cached: it raises every time
+        with pytest.raises(ValueError, match="B4 is not exceptional"):
+            reps.simplest_representation(LieType.parse("B4"))
 
 
 def test_table_values(capsys):
@@ -547,7 +581,7 @@ def _main_outcome(argv):
 def test_the_plain_reading_is_the_argparse_reading(argv):
     plain = cli._parse_canonical(argv)
     if plain is not None:
-        parsed, extras = build_parser().subcommands[argv[0]].parse_known_args(argv[1:])
+        parsed, extras = build_parser().parse_known_args(argv)
         assert (vars(plain), extras) == (vars(parsed), []), argv
     outcome = _main_outcome(argv)
     with pytest.MonkeyPatch.context() as patch:
@@ -732,7 +766,7 @@ def test_every_verify_config_field_is_a_flag_and_a_config_key(tmp_path, field):
     text, flag_value, config_value = (
         ("routes", ["routes"], ("routes",)) if field.name == "only" else ("5", 5, 5)
     )
-    parsed = build_parser().subcommands["verify"].parse_args([f"--{key}", text])
+    parsed = build_parser().parse_args(["verify", f"--{key}", text])
     assert vars(parsed)[field.name] == flag_value
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"{key} = {text}\n")
@@ -1061,9 +1095,7 @@ def test_json_output_refuses_a_key_that_is_not_a_str(value):
 
 
 def writes_json(argv) -> bool:
-    if "--format" in argv:
-        return argv[argv.index("--format") + 1] == "json"
-    return build_parser().subcommands[argv[0]].get_default("format") == "json"
+    return build_parser().parse_args(list(argv)).format == "json"
 
 
 GOLDEN_JSON = [g for g in GOLDEN_CLI if g[1] == 0 and writes_json(g[0])]
@@ -1144,25 +1176,6 @@ def test_help_is_the_same_on_first_and_second_call(capsys):
     assert build_parser.cache_info().misses == 1
 
 
-def test_a_subcommand_is_parsed_by_its_own_parser_alone(capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the top-level parser read a subcommand's argv")
-
-    monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
-    code, out, err = run(capsys, "rep-index", "--algebra", "A2", "--weight", "1,1")
-    assert (code, err) == (0, "")
-    assert json.loads(out) == {
-        "algebra": "A2", "type": "A2", "weight": [1, 1],
-        "dimension": 8, "index": "6", "integer": True,
-    }
-    monkeypatch.undo()
-    for argv, expected in (([], 2), (["bogus"], 2), (["-h"], 0)):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        capsys.readouterr()
-        assert exc.value.code == expected, argv
-
-
 def _outcome(capsys, call, argv):
     try:
         code = call(list(argv))
@@ -1178,6 +1191,7 @@ def _outcome(capsys, call, argv):
         ("rep-index", "--algebra", "A2", "--weight", "1,1", "extra"),
         ("table", "--bogus"),
         ("table", "-h"),
+        ("-h",),
         (),
         ("bogus",),
         ("index", "--algebra", "sl4"),
