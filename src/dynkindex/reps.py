@@ -167,30 +167,26 @@ _SIMPLEST = {
 
 
 @lru_cache(maxsize=None)
-def simplest_representation(lt: LieType) -> tuple[tuple[int, ...], int, str]:
-    """Highest weight, dimension and classical target of the smallest
-    faithful module of an exceptional algebra.  Its dimension is checked on
-    the first call for each type and kept; a refused type is not cached and
-    raises on every call."""
+def simplest_representation(lt: LieType) -> tuple[tuple[int, ...], int, str, int]:
+    """Highest weight, dimension, classical target and embedding index of the
+    smallest faithful module of an exceptional algebra: one record per type,
+    checked on the first call and kept.  One walk of the module's roots gives
+    its dimension and index; the target's defining module gives the quotient.
+    A refused type is not cached and raises on every call."""
     key = str(lt)
     if key not in _SIMPLEST:
         raise ValueError(f"{lt} is not exceptional")
-    weight, dim, kind, _ = _SIMPLEST[key]
-    _require(weyl_dimension(build(lt), weight) == dim, "{} module is not {}-dimensional", lt, dim)
-    return weight, dim, kind
-
-
-@lru_cache(maxsize=None)
-def simplest_embedding_index(lt: LieType) -> int:
-    """Index of the embedding of an exceptional algebra defined by its
-    smallest faithful module, recomputed from both sides of the quotient."""
-    weight, dim, kind = simplest_representation(lt)
-    ind_top = dynkin_index(build(lt), weight).index
+    weight, dim, kind, expected = _SIMPLEST[key]
+    module = dynkin_index(build(lt), weight)
+    _require(module.dimension == dim, "{} module is not {}-dimensional", lt, dim)
     target = build(classical_type(kind, dim))
     vector = (1,) + (0,) * (target.rank - 1)
-    ind_target = dynkin_index(target, vector).index
-    value = embedding_index(ind_top, ind_target)
-    expected = _SIMPLEST[str(lt)][3]
+    value = embedding_index(module.index, dynkin_index(target, vector).index)
     _require(value == expected, "{} embedding index {}, expected {}", lt, value, expected)
-    return int(value)
+    return weight, dim, kind, expected
 
+
+def simplest_embedding_index(lt: LieType) -> int:
+    """Index of the embedding of an exceptional algebra defined by its
+    smallest faithful module: the last field of its record."""
+    return simplest_representation(lt)[3]

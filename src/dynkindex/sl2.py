@@ -242,12 +242,12 @@ def index_via_simplest_rep(lt: LieType, p: Partition) -> Fraction:
         raise ValueError(f"{lt} is not exceptional; use classical_index")
     p = normalize_partition(p)
     _require_nonzero(p)
-    _, dim, kind = reps.simplest_representation(lt)
+    _, dim, kind, embedding = reps.simplest_representation(lt)
     if sum(p) != dim:
         raise ValueError(
             f"partition of {sum(p)} does not match the {dim}-dimensional module of {lt}"
         )
-    value = classical_index(kind, p) / reps.simplest_embedding_index(lt)
+    value = classical_index(kind, p) / embedding
     if value.denominator != 1:
         raise ValueError(
             f"non-integral index {value}: {p} is not a nilpotent Jordan type of {lt}"

@@ -85,6 +85,8 @@ UNREACHED_PUBLIC = {
     "to_json_lines": "shown in the README",
     "fundamental_weights": "pinned by benchmarks/",
     "weight_form": "pinned by benchmarks/",
+    "weyl_dimension": "pinned by benchmarks/",
+    "simplest_embedding_index": "pinned by benchmarks/",
 }
 
 

@@ -188,7 +188,7 @@ def test_chain_rule():
 def test_simplest_representations():
     expected = {"E6": 27, "E7": 56, "E8": 248, "F4": 26, "G2": 7}
     for label, dim in expected.items():
-        weight, d, kind = simplest_representation(LieType.parse(label))
+        weight, d, kind, _ = simplest_representation(LieType.parse(label))
         assert d == dim
         assert weyl_dimension(build(label), weight) == dim
         assert kind in ("sl", "sp", "so")
@@ -211,6 +211,28 @@ def test_exceptional_embedding_indices():
     assert {k: simplest_embedding_index(LieType.parse(k)) for k in EXCEPTIONAL} == {
         "E6": 6, "E7": 12, "E8": 30, "F4": 3, "G2": 1,
     }
+
+
+def test_a_first_simplest_call_walks_each_module_once(monkeypatch):
+    # One cached record per type holds the module's dimension and embedding
+    # index, both read off one walk of its roots.
+    assert not hasattr(simplest_embedding_index, "cache_clear")
+    simplest_representation.cache_clear()
+    types = [LieType.parse(label) for label in EXCEPTIONAL]
+    for lt in types:
+        build(lt)  # construction walks the roots once of its own
+    walks = []
+
+    def counted(self, shifted):
+        walks.append(str(self.lie_type))
+        return walk(self, shifted)
+
+    walk = RootSystem._scaled_root_pairings
+    monkeypatch.setattr(RootSystem, "_scaled_root_pairings", counted)
+    for lt in types:
+        record = simplest_representation(lt)
+        assert simplest_embedding_index(lt) == record[3]
+    assert [label for label in walks if label in EXCEPTIONAL] == list(EXCEPTIONAL)
 
 
 def test_integrality_of_small_weights():
@@ -311,7 +333,7 @@ def test_multiplicativity_of_simplest_embeddings():
     # index of the exceptional algebra on that same module
     indices = {k: simplest_embedding_index(LieType.parse(k)) for k in EXCEPTIONAL}
     for label, table_value in indices.items():
-        weight, dim, kind = simplest_representation(LieType.parse(label))
+        weight, dim, kind, _ = simplest_representation(LieType.parse(label))
         top = dynkin_index(build(label), weight).index
         target = build(classical_type(kind, dim))
         vector = (1,) + (0,) * (target.rank - 1)
