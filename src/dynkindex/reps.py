@@ -22,7 +22,7 @@ from .rootsystems import (
     _integers,
     _require,
     build,
-    classical_type,
+    classical_kind,
 )
 
 
@@ -154,9 +154,9 @@ def embedding_index(ind_sub: Fraction, ind_ambient: Fraction) -> Fraction:
 
 # Smallest faithful representations of the exceptional algebras, as
 # fundamental-weight labels in Bourbaki numbering, with their dimension, the
-# classical target they embed into and the index of that embedding.  Both the
-# dimension and the index are recomputed and checked, so a numbering mistake
-# here cannot survive.
+# classical target they embed into and the index of that embedding.  Both are
+# checked: the dimension and ind(g, V) come from one walk of the module's roots,
+# and the embedding index is ind(g, V) over the target kind's ind(V).
 _SIMPLEST = {
     "E6": ((1, 0, 0, 0, 0, 0), 27, "sl", 6),
     "E7": ((0, 0, 0, 0, 0, 0, 1), 56, "sp", 12),
@@ -171,7 +171,7 @@ def simplest_representation(lt: LieType) -> tuple[tuple[int, ...], int, str, int
     """Highest weight, dimension, classical target and embedding index of the
     smallest faithful module of an exceptional algebra: one record per type,
     checked on the first call and kept.  One walk of the module's roots gives
-    its dimension and index; the target's defining module gives the quotient.
+    its dimension and index, divided by the target kind's ``vector_index``.
     A refused type is not cached and raises on every call."""
     key = str(lt)
     if key not in _SIMPLEST:
@@ -179,9 +179,7 @@ def simplest_representation(lt: LieType) -> tuple[tuple[int, ...], int, str, int
     weight, dim, kind, expected = _SIMPLEST[key]
     module = dynkin_index(build(lt), weight)
     _require(module.dimension == dim, "{} module is not {}-dimensional", lt, dim)
-    target = build(classical_type(kind, dim))
-    vector = (1,) + (0,) * (target.rank - 1)
-    value = embedding_index(module.index, dynkin_index(target, vector).index)
+    value = embedding_index(module.index, classical_kind(kind).vector_index)
     _require(value == expected, "{} embedding index {}, expected {}", lt, value, expected)
     return weight, dim, kind, expected
 

@@ -1,13 +1,14 @@
 """Dynkin indices of irreducible representations."""
 
 import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import comb
 
 import pytest
 
-from dynkindex import reps
+from dynkindex import reps, rootsystems
 from dynkindex.reps import (
     _lattice_reports,
     dynkin_index,
@@ -22,6 +23,7 @@ from dynkindex.rootsystems import (
     RootSystem,
     all_types,
     build,
+    classical_kind,
     classical_type,
 )
 from dynkindex.sl2 import branch_adjoint, module_index
@@ -133,15 +135,27 @@ def test_adjoint_index_is_twice_dual_coxeter():
 
 
 def test_defining_module_indices_for_sp_and_so():
-    for n in range(2, 9):
-        rs = build(classical_type("sp", 2 * n))
-        assert dynkin_index(rs, (1,) + (0,) * (rs.rank - 1)).index == 1
-    for dim in range(5, 17):
-        rs = build(classical_type("so", dim))
-        assert dynkin_index(rs, (1,) + (0,) * (rs.rank - 1)).index == 2
-    for dim in range(2, 10):
-        rs = build(classical_type("sl", dim))
-        assert dynkin_index(rs, (1,) + (0,) * (rs.rank - 1)).index == 1
+    # The kind record's vector_index is the index of the defining module; the
+    # embedding check of the smallest exceptional modules divides by it
+    # without building the target, so its five targets are walked here.
+    sizes = [("sp", 2 * n) for n in range(2, 9)] + [("so", d) for d in range(5, 17)]
+    sizes += [("sl", d) for d in range(2, 10)]
+    sizes += [(kind, dim) for _, dim, kind, _ in reps._SIMPLEST.values()]
+    targets = []
+    for kind, dim in sizes:
+        rs = build(classical_type(kind, dim))
+        targets.append(str(rs.lie_type))
+        index = dynkin_index(rs, (1,) + (0,) * (rs.rank - 1)).index
+        assert index == classical_kind(kind).vector_index, (kind, dim)
+    assert targets[-5:] == ["A26", "C28", "D124", "D13", "B3"]
+
+
+def test_a_wrong_kind_record_is_refused_by_the_embedding_check(monkeypatch):
+    so = rootsystems._KIND_TABLE["so"]
+    monkeypatch.setitem(rootsystems._KIND_TABLE, "so", replace(so, vector_index=1))
+    simplest_representation.cache_clear()
+    with pytest.raises(ArithmeticError, match="^E8 embedding index 60, expected 30$"):
+        simplest_representation(LieType.parse("E8"))
 
 
 def test_embedding_index_quotients():
@@ -215,24 +229,33 @@ def test_exceptional_embedding_indices():
 
 def test_a_first_simplest_call_walks_each_module_once(monkeypatch):
     # One cached record per type holds the module's dimension and embedding
-    # index, both read off one walk of its roots.
+    # index, both read off one walk of its roots and the target kind's record:
+    # no root system is built or walked for the classical target.
     assert not hasattr(simplest_embedding_index, "cache_clear")
     simplest_representation.cache_clear()
     types = [LieType.parse(label) for label in EXCEPTIONAL]
     for lt in types:
         build(lt)  # construction walks the roots once of its own
-    walks = []
+    walks, built = [], []
 
     def counted(self, shifted):
         walks.append(str(self.lie_type))
         return walk(self, shifted)
 
-    walk = RootSystem._scaled_root_pairings
+    def fetched(lt):
+        built.append(str(lt))
+        return fetch(lt)
+
+    walk, fetch = RootSystem._scaled_root_pairings, rootsystems._build_cached
+    entries = fetch.cache_info().currsize
     monkeypatch.setattr(RootSystem, "_scaled_root_pairings", counted)
+    monkeypatch.setattr(rootsystems, "_build_cached", fetched)
     for lt in types:
         record = simplest_representation(lt)
         assert simplest_embedding_index(lt) == record[3]
-    assert [label for label in walks if label in EXCEPTIONAL] == list(EXCEPTIONAL)
+    assert walks == list(EXCEPTIONAL)
+    assert built == list(EXCEPTIONAL)
+    assert fetch.cache_info().currsize == entries
 
 
 def test_integrality_of_small_weights():
