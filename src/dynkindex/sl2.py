@@ -23,13 +23,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, chain, compress, groupby, repeat
 from math import comb
 from operator import add, mul
 from types import MappingProxyType
 
 from . import reps
-from .rootsystems import LieType, RootSystem, _integers, _require, all_types, build
+from .rootsystems import LieType, RootSystem, _cartan_matrix, _integers, _require, all_types, build
 from .rootsystems import KINDS, classical_kind, defining_module  # KINDS is re-exported
 
 Partition = tuple[int, ...]
@@ -316,15 +317,15 @@ def principal_index(rs: RootSystem) -> IndexReport:
 @dataclass(frozen=True)
 class McKayData:
     """Invariant degrees (a, b) with a + b = h + 2 and the order a*b/2 of
-    the attached finite subgroup of SL2."""
+    McKay's (1980) subgroup of SL2, read from the partner's highest root."""
 
     a: int
     b: int
     group_order: int
 
 
-# Degrees (a, b) per family; validated against a + b = h + 2 here and the
-# dimension count of the subregular decomposition in subregular_module.
+# Degrees (a, b) per family; mckay_data checks a + b = h + 2 and a*b/2
+# against the partner's group order, subregular_module the dimension count.
 _AB_EXCEPTIONAL = {"E6": (6, 8), "E7": (8, 12), "E8": (12, 20), "F4": (6, 8), "G2": (4, 4)}
 
 
@@ -342,15 +343,46 @@ def ab_closed_form(family: str, n: int) -> tuple[int, int]:
     return _AB_EXCEPTIONAL[f"{family}{n}"]
 
 
+def _unfolding(lt: LieType) -> LieType:
+    """Slodowy's (1980) simply-laced unfolding: C_n -> A_2n-1, B_n -> D_n+1,
+    F4 -> E6, G2 -> D4, and a simply-laced type is its own."""
+    n = lt.rank
+    partners = {"C": ("A", 2 * n - 1), "B": ("D", n + 1), "F": ("E", 6), "G": ("D", 4)}
+    return LieType(*partners.get(lt.family, (lt.family, n)))
+
+
+def _mckay_partner(lt: LieType) -> LieType:
+    """The unfolding of the Langlands dual, so B_n -> A_2n-1 and C_n -> D_n+1."""
+    return _unfolding(LieType({"B": "C", "C": "B"}.get(lt.family, lt.family), lt.rank))
+
+
+def _highest_root(cartan, label) -> list[int]:
+    """theta of a simply-laced Cartan matrix, its only dominant root: from
+    alpha_1, add alpha_i while <beta, alpha_i-check> < 0 (each step gives a
+    root) and the height is at most rank^2; then (beta, beta) must be 2."""
+    beta, pairings = [1] + [0] * (len(cartan) - 1), list(cartan[0])
+    while min(pairings) < 0 and sum(beta) <= len(cartan) ** 2:
+        i = pairings.index(min(pairings))
+        beta[i] += 1
+        pairings = [p + c for p, c in zip(pairings, cartan[i])]
+    dominant = min(pairings) >= 0 and sum(b * p for b, p in zip(beta, pairings)) == 2
+    _require(dominant, "{}: the climb ends at no dominant root of norm 2", label)
+    return beta
+
+
+@lru_cache(maxsize=None)
 def mckay_data(lt: LieType) -> McKayData:
-    """Invariant degrees attached to a simple type of rank at least 2."""
+    """Degrees of a simple type of rank at least 2, and a*b/2 checked against
+    1 + the squared marks of the partner's highest root; cached per type."""
     if lt.rank < 2:
         raise ValueError(f"{lt}: rank 1 has no subregular orbit and no degree pair")
     h = build(lt).coxeter_number
     a, b = sorted(ab_closed_form(lt.family, lt.rank))
     _require(a + b == h + 2, "{}: degrees {} + {} differ from h + 2 = {}", lt, a, b, h + 2)
-    _require((a * b) % 2 == 0, "{}: degree product {} is odd", lt, a * b)
-    return McKayData(a, b, a * b // 2)
+    partner = _mckay_partner(lt)
+    order = 1 + sum(c * c for c in _highest_root(_cartan_matrix(partner), partner))
+    _require(a * b == 2 * order, "{}: group order {} != {}", lt, Fraction(a * b, 2), order)
+    return McKayData(a, b, order)
 
 
 def subregular_module(rs: RootSystem, data: McKayData) -> Sl2Module:
@@ -379,9 +411,10 @@ def principal_minus_subregular(
     """Difference D of the principal and subregular indices, four ways.
 
     Closed form (h/h*)(C(h,2) + (a-2)(b-2)/4), the variant through the group
-    order, the raw binomial difference of the two adjoint branchings, and the
-    literal difference of the two index computations, the one route that
-    reads the principal value.  Each is a Fraction of two integers.
+    order (the partner's marks), the raw binomial difference of the two
+    adjoint branchings, and the literal difference of the two index
+    computations, the one route that reads the principal value.  Each is a
+    Fraction of two integers.
     """
     h = rs.coxeter_number
     hstar = rs.dual_coxeter_number

@@ -21,7 +21,7 @@ from functools import wraps
 from itertools import product
 
 from . import identities, orbits, reps, sl2
-from .rootsystems import LieType, _cartan_matrix, _require, all_types, build, classical_kind
+from .rootsystems import all_types, build, classical_kind
 
 
 @dataclass(frozen=True)
@@ -109,20 +109,12 @@ def check_structure(config: VerifyConfig) -> Iterator[list[str]]:
         yield failures
 
 
-def _unfolding(lt: LieType) -> LieType:
-    """Slodowy's (1980) simply-laced unfolding: C_n -> A_2n-1, B_n -> D_n+1,
-    F4 -> E6, G2 -> D4, and a simply-laced type is its own."""
-    n = lt.rank
-    partners = {"C": ("A", 2 * n - 1), "B": ("D", n + 1), "F": ("E", 6), "G": ("D", 4)}
-    return LieType(*partners.get(lt.family, (lt.family, n)))
-
-
 @_check("unfolding", "pairs checked")
 def check_unfolding(config: VerifyConfig) -> Iterator[list[str]]:
     """Weighted height sum of a multiply-laced type equals the plain height
     sum of its simply-laced unfolding."""
     for folded_type in all_types(min(config.max_classical_rank, 8)):
-        unfolded_type = _unfolding(folded_type)
+        unfolded_type = sl2._unfolding(folded_type)
         if unfolded_type == folded_type:
             continue
         folded, unfolded = build(folded_type), build(unfolded_type)
@@ -214,43 +206,17 @@ def check_difference_bounds(config: VerifyConfig) -> Iterator[list[str]]:
             yield sl2.difference_failures(row)
 
 
-def _mckay_partner(lt: LieType) -> LieType:
-    """The partner whose highest root gives check_mckay's group order: the
-    unfolding of the Langlands dual, so B_n -> A_2n-1 and C_n -> D_n+1."""
-    dual = {"B": "C", "C": "B"}.get(lt.family, lt.family)
-    return _unfolding(LieType(dual, lt.rank))
-
-
-def _highest_root(cartan, label) -> list[int]:
-    """theta of a simply-laced Cartan matrix, its only dominant root: from
-    alpha_1, add alpha_i while <beta, alpha_i-check> < 0 (each step gives a
-    root) and the height is at most rank^2; then (beta, beta) must be 2."""
-    beta, pairings = [1] + [0] * (len(cartan) - 1), list(cartan[0])
-    while min(pairings) < 0 and sum(beta) <= len(cartan) ** 2:
-        i = pairings.index(min(pairings))
-        beta[i] += 1
-        pairings = [p + c for p, c in zip(pairings, cartan[i])]
-    dominant = min(pairings) >= 0 and sum(b * p for b, p in zip(beta, pairings)) == 2
-    _require(dominant, "{}: the climb ends at no dominant root of norm 2", label)
-    return beta
-
-
 @_check("mckay", "types checked")
 def check_mckay(config: VerifyConfig) -> Iterator[list[str]]:
-    """Degree pairs and subregular dimensions, checked where sl2 builds them,
-    and the group order a*b/2 against 1 + the sum of the squared marks of the
-    partner's highest root (McKay, 1980)."""
+    """Degree pairs, group orders and subregular dimensions, each checked
+    where sl2 builds it: mckay_data compares a*b/2 with the partner's marks."""
     for lt in sl2.sweep_types(config.max_classical_rank):
-        partner = _mckay_partner(lt)
         try:
-            data = sl2.mckay_data(lt)
-            sl2.subregular_module(build(lt), data)
-            order = 1 + sum(c * c for c in _highest_root(_cartan_matrix(partner), partner))
+            sl2.subregular_module(build(lt), sl2.mckay_data(lt))
         except (ValueError, ArithmeticError) as exc:
             yield [str(exc)]  # each message names its type
-            continue
-        differ = data.group_order != order
-        yield [f"{lt}: group order {data.group_order} != {order}"] if differ else []
+        else:
+            yield []
 
 
 def run_checks(config: VerifyConfig) -> list[CheckResult]:

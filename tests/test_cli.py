@@ -349,6 +349,7 @@ def test_verify_lists_a_difference_disagreement_under_difference_bounds(capsys, 
     )
 
 
+@pytest.mark.usefixtures("fresh_mckay_cache")
 def test_verify_lists_a_refused_degree_pair_under_both_sweeps(capsys, monkeypatch):
     monkeypatch.setitem(sl2._AB_EXCEPTIONAL, "G2", (4, 6))
     code, out, err = run(capsys, *SMALL_VERIFY)
@@ -362,6 +363,7 @@ def test_verify_lists_a_refused_degree_pair_under_both_sweeps(capsys, monkeypatc
     assert lines[-1] == "8/10 checks passed"
 
 
+@pytest.mark.usefixtures("fresh_mckay_cache")
 def test_verify_mckay_compares_the_group_order_with_the_partner_marks(capsys, monkeypatch):
     # (2, 6) keeps a + b = h + 2 and the subregular dimension; only the group
     # order a*b/2 = 6 differs from 1 + the squared marks of D4's highest root.
@@ -375,9 +377,50 @@ def test_verify_mckay_compares_the_group_order_with_the_partner_marks(capsys, mo
     )
 
 
+def _g2_pair_off_the_marks(monkeypatch):
+    monkeypatch.setitem(sl2._AB_EXCEPTIONAL, "G2", (2, 6))
+
+
+def _c_pair_off_the_marks(monkeypatch):
+    real = sl2.ab_closed_form
+    monkeypatch.setattr(
+        sl2, "ab_closed_form", lambda family, n: (2, 2 * n) if family == "C" else real(family, n)
+    )
+
+
+@pytest.mark.usefixtures("fresh_mckay_cache")
+@pytest.mark.parametrize(
+    "patch,message",
+    [(_g2_pair_off_the_marks, "G2: group order 6 != 8"),
+     (_c_pair_off_the_marks, "C5: group order 10 != 16")],
+    ids=["G2", "C"],
+)
+def test_table_refuses_a_degree_pair_off_the_group_order(capsys, monkeypatch, patch, message):
+    # Both pairs keep a + b = h + 2 and the subregular dimension; only a*b/2
+    # differs from 1 + the squared marks of the partner's highest root.
+    patch(monkeypatch)
+    assert run(capsys, "table") == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.usefixtures("fresh_mckay_cache")
+def test_a_second_table_climbs_no_partner(capsys, monkeypatch):
+    climbs = []
+
+    def counted(cartan, label):
+        climbs.append(str(label))
+        return climb(cartan, label)
+
+    climb = sl2._highest_root
+    monkeypatch.setattr(sl2, "_highest_root", counted)
+    first = run(capsys, "table", "--rank", "5")
+    assert climbs == ["A5", "A9", "D6", "D5", "E6", "E7", "E8", "E6", "D4"]
+    assert run(capsys, "table", "--rank", "5") == first
+    assert len(climbs) == 9
+
+
 def test_table_evaluates_each_route_once_per_column(monkeypatch):
     # The principal value and the degree pair are evaluated once and passed
-    # along; nothing is cached, so the counts are per call.
+    # along; the counter wraps mckay_data's cache, so the counts are per call.
     counts = {}
     for name in ("principal_index", "mckay_data", "classical_index"):
         counts[name] = 0

@@ -119,13 +119,15 @@ def test_broken_degree_pair_raises_under_python_O():
     code = (
         "from dynkindex import sl2, verify\n"
         "from dynkindex.rootsystems import LieType\n"
-        "sl2._AB_EXCEPTIONAL['G2'] = (4, 6)\n"
-        "try:\n"
-        "    sl2.mckay_data(LieType('G', 2))\n"
-        "except ArithmeticError as exc:\n"
-        "    print('raised', exc)\n"
-        "result = verify.check_mckay(verify.VerifyConfig(max_classical_rank=3))\n"
-        "print(result.passed, result.counterexamples)\n"
+        # (2, 6) keeps a + b = h + 2; only a*b/2 differs from D4's marks.
+        "for pair in ((4, 6), (2, 6)):\n"
+        "    sl2._AB_EXCEPTIONAL['G2'] = pair\n"
+        "    try:\n"
+        "        sl2.mckay_data(LieType('G', 2))\n"
+        "    except ArithmeticError as exc:\n"
+        "        print('raised', exc)\n"
+        "    result = verify.check_mckay(verify.VerifyConfig(max_classical_rank=3))\n"
+        "    print(result.passed, result.counterexamples)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -136,6 +138,7 @@ def test_broken_degree_pair_raises_under_python_O():
     lines = run.stdout.splitlines()
     assert lines[0].startswith("raised G2: degrees 4 + 6")
     assert lines[1].startswith("False ('G2: degrees 4 + 6")
+    assert lines[2:] == ["raised G2: group order 6 != 8", "False ('G2: group order 6 != 8',)"]
 
 
 def test_module_index_values():

@@ -109,8 +109,8 @@ def test_check_results_are_immutable():
 
 
 def test_the_climb_reaches_the_highest_root_of_every_partner():
-    for partner in {verify._mckay_partner(lt) for lt in sl2.sweep_types(12)}:
-        climbed = verify._highest_root(rootsystems._cartan_matrix(partner), partner)
+    for partner in {sl2._mckay_partner(lt) for lt in sl2.sweep_types(12)}:
+        climbed = sl2._highest_root(rootsystems._cartan_matrix(partner), partner)
         assert tuple(climbed) == rootsystems.build(partner).theta.coords, partner
 
 
@@ -123,7 +123,7 @@ def test_the_climb_on_an_infinite_type_raises_and_ends(cartan):
     # Affine A1 stops at the null root delta, dominant of norm 0; the
     # hyperbolic matrix climbs without end until the height bound.
     with pytest.raises(ArithmeticError, match="^X: the climb ends at no dominant root"):
-        verify._highest_root(cartan, "X")
+        sl2._highest_root(cartan, "X")
 
 
 def test_mckay_builds_no_partner():
@@ -133,12 +133,13 @@ def test_mckay_builds_no_partner():
     assert rootsystems._build_cached.cache_info().currsize == len(list(sl2.sweep_types(10))) == 38
 
 
+@pytest.mark.usefixtures("fresh_mckay_cache")
 def test_mckay_lists_a_partner_with_no_highest_root(monkeypatch):
-    monkeypatch.setattr(verify, "_cartan_matrix", lambda lt: ((2, -2), (-2, 2)))
+    monkeypatch.setattr(sl2, "_cartan_matrix", lambda lt: ((2, -2), (-2, 2)))
     result = verify.check_mckay(verify.VerifyConfig(max_classical_rank=2))
     assert result.passed is False
     assert result.counterexamples == tuple(
-        f"{verify._mckay_partner(lt)}: the climb ends at no dominant root of norm 2"
+        f"{sl2._mckay_partner(lt)}: the climb ends at no dominant root of norm 2"
         for lt in sl2.sweep_types(2)
     )
 
