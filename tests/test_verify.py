@@ -126,8 +126,10 @@ def test_the_climb_on_an_infinite_type_raises_and_ends(cartan):
         sl2._highest_root(cartan, "X")
 
 
+@pytest.mark.usefixtures("fresh_mckay_cache")
 def test_mckay_builds_no_partner():
     # Only the 38 swept types are built; A17, A19 and D11 are partners only.
+    # The cache starts empty, so every partner is climbed here.
     rootsystems._build_cached.cache_clear()
     assert verify.check_mckay(verify.VerifyConfig()).passed
     assert rootsystems._build_cached.cache_info().currsize == len(list(sl2.sweep_types(10))) == 38
