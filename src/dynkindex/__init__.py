@@ -6,6 +6,8 @@ by several independent routes, plus the supporting root-system, orbit-poset
 and identity machinery.  Everything is exact: integers and Fractions only.
 """
 
+from types import ModuleType as _ModuleType
+
 from .identities import IdentityInstance, instance, lhs, sweep
 from .orbits import (
     OrbitPoset,
@@ -48,46 +50,7 @@ from .verify import VerifyConfig, run_checks
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "IdentityInstance",
-    "IndexReport",
-    "LieType",
-    "McKayData",
-    "OrbitPoset",
-    "RepIndexReport",
-    "Root",
-    "RootSystem",
-    "VerifyConfig",
-    "branch_adjoint",
-    "branch_vector_rep",
-    "build",
-    "build_poset",
-    "classical_index",
-    "classical_type",
-    "clebsch_gordan",
-    "degeneration_moves",
-    "dominance_leq",
-    "dynkin_index",
-    "embedding_index",
-    "enumerate_orbits",
-    "index_via_adjoint",
-    "index_via_simplest_rep",
-    "instance",
-    "lhs",
-    "mckay_data",
-    "module_dimension",
-    "module_index",
-    "monotonicity_holds",
-    "partition_is_admissible",
-    "partitions_of",
-    "poset_dot",
-    "principal_index",
-    "principal_minus_subregular",
-    "run_checks",
-    "simplest_embedding_index",
-    "subregular_module",
-    "sweep",
-    "sym2",
-    "wedge2",
-    "weyl_dimension",
-]
+# Every public name the imports above bind, apart from the submodules they bind.
+__all__ = sorted(
+    n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType)
+)

@@ -315,13 +315,16 @@ def _cmd_poset(args, out) -> int:
     return 0
 
 
+# table, index and rep-index give the payload as json, or its rows as csv or md.
+_TABULAR = ("json", "csv", "md")
+
 # Each subcommand once: its help, its driver and its options, each a flag
 # with the keyword arguments of its add_argument call, in help order.
 # build_parser builds argparse's parsers from this table, and
 # _parse_canonical reads the plain "--flag value" argv with it.
 _SUBCOMMANDS = {
     "table": ("summary table over all nine families", _cmd_table, {
-        "--format": {"choices": ("json", "csv", "md"), "default": "md"},
+        "--format": {"choices": _TABULAR, "default": "md"},
         "--rank": {
             "type": int,
             "default": 5,
@@ -336,12 +339,12 @@ _SUBCOMMANDS = {
             "default": "all",
             "help": "which computation routes to run",
         },
-        "--format": {"choices": ("json", "csv", "md"), "default": "json"},
+        "--format": {"choices": _TABULAR, "default": "json"},
     }),
     "rep-index": ("Dynkin index of one irreducible", _cmd_rep_index, {
         "--algebra": {"required": True},
         "--weight": {"required": True, "help": "fundamental-weight coordinates"},
-        "--format": {"choices": ("json", "csv", "md"), "default": "json"},
+        "--format": {"choices": _TABULAR, "default": "json"},
     }),
     "verify": ("run the exhaustive check suite", _cmd_verify, {
         "--only": {

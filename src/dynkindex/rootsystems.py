@@ -163,9 +163,9 @@ def _cartan_matrix(lt: LieType) -> tuple[tuple[int, ...], ...]:
     if fam in "ABC":
         for i in range(n - 1):
             bond(i, i + 1)
-        if fam == "B" and n >= 2:
+        if fam == "B":
             bond(n - 2, n - 1, -2, -1)  # last simple root short
-        if fam == "C" and n >= 2:
+        if fam == "C":
             bond(n - 2, n - 1, -1, -2)  # last simple root long
     elif fam == "D":
         for i in range(n - 2):

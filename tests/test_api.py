@@ -2,7 +2,9 @@
 
 import ast
 import inspect
+import sys
 from pathlib import Path
+from types import ModuleType
 
 import dynkindex
 from dynkindex.rootsystems import RootSystem, all_types, build
@@ -23,9 +25,20 @@ def test_root_level_api():
     assert dynkindex.__version__
 
 
-def test_all_names_resolve():
-    for name in dynkindex.__all__:
-        assert getattr(dynkindex, name) is not None
+def test_all_is_every_public_name_the_root_binds():
+    # Both ways: a name imported at the root but missing from __all__ fails,
+    # and so does a name in __all__ that the root does not bind.
+    exported = dynkindex.__all__
+    assert exported == sorted(exported)
+    assert not [name for name in exported if isinstance(getattr(dynkindex, name), ModuleType)]
+    assert set(exported) == {
+        name
+        for name, value in vars(dynkindex).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    for name in exported:
+        obj = getattr(dynkindex, name)
+        assert vars(sys.modules[obj.__module__])[name] is obj, name
 
 
 def test_no_assert_statements_in_the_library():
