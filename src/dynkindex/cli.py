@@ -149,7 +149,7 @@ def index_report(algebra: str, partition, via: str = "all") -> tuple[sl2.IndexRe
 def rep_index_report(algebra: str, weight) -> dict:
     lt, _, _ = parse_algebra(algebra)
     weight = reps._check_weight(lt, weight)  # before the build, which grows with the rank
-    report = reps._dynkin_index(build(lt), weight)
+    report = reps.dynkin_index(build(lt), weight)
     return {
         "algebra": algebra,
         "type": str(lt),

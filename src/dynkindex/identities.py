@@ -35,9 +35,8 @@ def _cross_terms(p: Partition) -> int:
 def _rhs(family: str, p: Partition) -> Fraction:
     """sum_S (cross + diag_S) / sum_S (n + 2s) over the squares S of the
     family, s = 1 for Sym^2 and -1 for Lambda^2; the square S of a part k
-    adds C(2k - 1 + s - 4j, 3) for j = 0 .. k//2."""
+    adds C(2k - 1 + s - 4j, 3) for j = 0 .. k//2; ``instance`` normalises p."""
     squares = classical_kind(family).squares
-    p = normalize_partition(p)
     denominator = sum(sum(p) + 2 * s for s in squares)
     if denominator == 0:
         raise ValueError("degenerate denominator: partitions of 2 are skipped for so")

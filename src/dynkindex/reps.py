@@ -64,11 +64,7 @@ def dynkin_index(rs: RootSystem, weight) -> RepIndexReport:
     product and the square sum are this walk's own; ``_index_numerator``
     divides.  The zero weight yields the trivial module: dimension 1, index 0.
     """
-    return _dynkin_index(rs, _check_weight(rs.lie_type, weight))
-
-
-def _dynkin_index(rs: RootSystem, weight: tuple[int, ...]) -> RepIndexReport:
-    # dynkin_index of a weight that _check_weight has already returned.
+    weight = _check_weight(rs.lie_type, weight)
     shifted = list(map(add, map(mul, weight, rs._int_norms), rs._int_norms))
     pairings = rs._scaled_root_pairings(shifted)
     dim, numerator = _index_numerator(rs, weight, prod(pairings), sum(map(mul, pairings, pairings)))
@@ -175,7 +171,7 @@ def simplest_representation(lt: LieType) -> tuple[tuple[int, ...], int, str, int
     A refused type is not cached and raises on every call."""
     key = str(lt)
     if key not in _SIMPLEST:
-        raise ValueError(f"{lt} is not exceptional")
+        raise ValueError(f"{lt} is not exceptional; use classical_index")
     weight, dim, kind, expected = _SIMPLEST[key]
     module = dynkin_index(build(lt), weight)
     _require(module.dimension == dim, "{} module is not {}-dimensional", lt, dim)

@@ -108,25 +108,25 @@ def _wedge2_labels(m: int) -> range:
     return range(2 * m - 2, -1, -4)
 
 
+def _expanded(labels, *components: int) -> Sl2Module:
+    if any(c < 0 for c in components):
+        raise ValueError("component labels must be nonnegative")
+    return tuple(labels(*components))
+
+
 def clebsch_gordan(a: int, b: int) -> Sl2Module:
     """Tensor product of two sl2-irreducibles."""
-    if a < 0 or b < 0:
-        raise ValueError("component labels must be nonnegative")
-    return tuple(_cg_labels(a, b))
+    return _expanded(_cg_labels, a, b)
 
 
 def sym2(m: int) -> Sl2Module:
     """Symmetric square of one irreducible: 2m, 2m-4, ... down to 0 or 2."""
-    if m < 0:
-        raise ValueError("component labels must be nonnegative")
-    return tuple(_sym2_labels(m))
+    return _expanded(_sym2_labels, m)
 
 
 def wedge2(m: int) -> Sl2Module:
     """Exterior square of one irreducible: 2m-2, 2m-6, ... (empty for m=0)."""
-    if m < 0:
-        raise ValueError("component labels must be nonnegative")
-    return tuple(_wedge2_labels(m))
+    return _expanded(_wedge2_labels, m)
 
 
 # -- indices from partitions -------------------------------------------------
@@ -239,11 +239,9 @@ def index_via_simplest_rep(lt: LieType, p: Partition) -> Fraction:
     target are validated here.  A non-integral result means the partition is
     not the Jordan type of any nilpotent of this algebra and is rejected.
     """
-    if not lt.is_exceptional:
-        raise ValueError(f"{lt} is not exceptional; use classical_index")
+    _, dim, kind, embedding = reps.simplest_representation(lt)
     p = normalize_partition(p)
     _require_nonzero(p)
-    _, dim, kind, embedding = reps.simplest_representation(lt)
     if sum(p) != dim:
         raise ValueError(
             f"partition of {sum(p)} does not match the {dim}-dimensional module of {lt}"

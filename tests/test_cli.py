@@ -168,7 +168,12 @@ def test_a_bad_weight_is_refused_before_the_root_system_is_built(
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-def test_a_warm_rep_index_checks_its_weight_once(capsys, monkeypatch):
+def test_a_warm_rep_index_checks_its_weight_before_the_build_and_in_dynkin_index(
+    capsys, monkeypatch
+):
+    # The pre-build check keeps a large rank from being built for a bad weight;
+    # the public dynkin_index checks again.  An entry that skipped the second
+    # check gained nothing in paired runs (BENCH_weight-split-queries.json).
     argv = ("rep-index", "--algebra", "E6", "--weight", "1,0,0,0,0,0")
     run(capsys, *argv)  # warm: the label and the root system are cached
     checks = []
@@ -181,7 +186,7 @@ def test_a_warm_rep_index_checks_its_weight_once(capsys, monkeypatch):
     monkeypatch.setattr(reps, "_check_weight", counted)
     code, out, _ = run(capsys, *argv)
     assert (code, json.loads(out)["index"]) == (0, "6")
-    assert checks == [(1, 0, 0, 0, 0, 0)]
+    assert checks == [(1, 0, 0, 0, 0, 0)] * 2
 
 
 def test_a_second_simplest_call_walks_no_roots(capsys, monkeypatch):

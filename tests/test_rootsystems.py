@@ -95,6 +95,14 @@ def test_invalid_types_rejected(label):
         build(label)
 
 
+def test_an_unknown_family_is_refused_by_the_constructor():
+    # The label parser admits only A..G, so only a direct construction reaches
+    # this refusal.
+    with pytest.raises(ValueError) as refused:
+        LieType("H", 4)
+    assert str(refused.value) == "unknown family 'H', expected one of ABCDEFG"
+
+
 def test_type_parsing():
     assert LieType.parse("e8") == LieType("E", 8)
     assert LieType.parse("B_3") == LieType("B", 3)

@@ -254,6 +254,18 @@ def test_squares():
         assert tuple(sorted(sym2(m) + wedge2(m), reverse=True)) == clebsch_gordan(m, m)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: clebsch_gordan(-1, 2), lambda: clebsch_gordan(2, -1), lambda: sym2(-1),
+     lambda: wedge2(-1)],
+    ids=["clebsch_gordan-first", "clebsch_gordan-second", "sym2", "wedge2"],
+)
+def test_a_negative_component_label_is_refused(call):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == "component labels must be nonnegative"
+
+
 def test_branch_adjoint():
     assert branch_adjoint("sl", (2,)) == (2,)
     assert branch_adjoint("sp", (2, 2)) == (2, 2, 2, 0)

@@ -2,7 +2,7 @@
 the immutability of their results."""
 
 from collections import Counter
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -174,6 +174,49 @@ def test_structure_sees_a_coroot_half_sum_off_in_one_coordinate(monkeypatch, las
     assert pairing == [
         f"{lt}: coroot half-sum pairing is not the height" for lt in verify.all_types(4)
     ]
+
+
+def test_structure_sees_a_short_root_of_the_wrong_length(monkeypatch):
+    # One short root other than theta_s, whose length the constructor itself
+    # requires, has its squared length halved, in a copy of the roots.
+    real = verify.build
+    changed = []
+
+    def halved(lt):
+        rs = real(lt)
+        roots = list(rs.positive_roots)
+        for i, root in enumerate(roots):
+            if not root.is_long and root != rs.theta_short:
+                roots[i] = replace(root, norm2=root.norm2 / 2)
+                changed.append(lt)
+                break
+        return _RootSystemWith(rs, positive_roots=tuple(roots))
+
+    monkeypatch.setattr(verify, "build", halved)
+    result = verify.check_structure(verify.VerifyConfig(max_classical_rank=4))
+    assert result.passed is False
+    assert changed == [lt for lt in verify.all_types(4) if real(lt).r != 1]
+    assert sorted(map(str, changed)) == ["B2", "B3", "B4", "C2", "C3", "C4", "F4", "G2"]
+    assert result.counterexamples == tuple(f"{lt}: unexpected root length" for lt in changed)
+
+
+def test_structure_sees_a_wrong_norm_of_rho(monkeypatch):
+    real = verify.build
+
+    def off(lt):
+        rs = real(lt)
+
+        def form(x, y):
+            value = rs.form(x, y)
+            return value + 1 if x == y == rs.rho else value
+
+        return _RootSystemWith(rs, form=form)
+
+    monkeypatch.setattr(verify, "build", off)
+    result = verify.check_structure(verify.VerifyConfig(max_classical_rank=4))
+    assert result.passed is False
+    strange = [f for f in result.counterexamples if f.endswith("strange formula failed")]
+    assert strange == [f"{lt}: strange formula failed" for lt in verify.all_types(4)]
 
 
 def test_integrality_lists_a_nontrivial_irreducible_of_dimension_zero(monkeypatch):
