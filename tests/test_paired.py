@@ -1,8 +1,11 @@
-"""The statistics and source digests of tools/paired.py on fixed inputs and
-temporary trees; no benchmark is run."""
+"""The statistics, source digests and run conditions of tools/paired.py on
+fixed inputs and temporary trees; no benchmark is run."""
 
 import importlib.util
 import json
+import signal
+import subprocess
+import time
 from pathlib import Path
 
 import pytest
@@ -101,3 +104,115 @@ def test_a_tree_edited_during_a_pair_stops_the_tool_and_is_named(tmp_path, monke
         f"error: sources changed during pair 2: change ({change.resolve()})"
     )
     assert not (tmp_path / "BENCH_x.json").exists()
+
+
+def _files(tree: Path) -> dict:
+    return {
+        path.relative_to(tree).as_posix(): (path.read_bytes(), path.stat().st_mtime_ns)
+        for path in tree.rglob("*") if path.is_file()
+    }
+
+
+def test_the_bytecode_under_src_and_benchmarks_is_deleted_before_the_first_pair(
+    tmp_path, monkeypatch
+):
+    trees = {"parent": _tree(tmp_path / "parent"), "change": _tree(tmp_path / "change")}
+    caches = ["src/pkg/__pycache__/x.pyc", "benchmarks/__pycache__/y.pyc"]
+    for tree in trees.values():
+        for name in caches + ["tests/__pycache__/z.pyc"]:  # not a source: kept
+            (tree / name).parent.mkdir(parents=True)
+            (tree / name).write_bytes(b"\0")
+    kept = {
+        side: {name: entry for name, entry in _files(tree).items() if name not in caches}
+        for side, tree in trees.items()
+    }
+    digests = {side: paired.source_digest(tree) for side, tree in trees.items()}
+    left = []
+
+    def fake_run(tree, workload, seed, seconds):
+        left.extend(
+            path for t in trees.values() for sub in paired.SOURCES
+            for path in (t / sub).rglob("__pycache__")
+        )
+        return {"correct": True, "attempted": 1, "failed": 0, "host_speed": 1.0, "metrics": {}}
+
+    monkeypatch.setattr(paired, "bench_run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    argv = [str(trees["parent"]), str(trees["change"]), "--workload", "w", "--seeds", "1-2",
+            "--label", "x"]
+    assert paired.main(argv) == 0
+    assert left == []
+    for side, tree in trees.items():
+        assert _files(tree) == kept[side]
+        assert paired.source_digest(tree) == digests[side]
+    report = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert report["bytecode"] == "none cached; every child compiles what it imports"
+
+
+def test_each_run_starts_in_a_session_of_its_own_with_bytecode_writes_off(
+    tmp_path, monkeypatch
+):
+    started, killed = [], []
+
+    class FakePopen:
+        pid = 4321
+        returncode = 0
+
+        def __init__(self, command, **options):
+            started.append((command, options))
+
+        def communicate(self, timeout=None):
+            return (
+                "raw wall-clock medians: host speed 0.800\n"
+                '{"correct": true, "attempted": 3, "failed": 0, '
+                '"metrics": {"setup_s": {"value": 0.1, "unit": "s"}}}\n',
+                "",
+            )
+
+    monkeypatch.setattr(paired.subprocess, "Popen", FakePopen)
+    monkeypatch.setattr(paired.os, "killpg", lambda pgid, sig: killed.append((pgid, sig)))
+    result = paired.bench_run(tmp_path, "queries", 7, 45)
+    assert result == {"correct": True, "attempted": 3, "failed": 0, "host_speed": 0.8,
+                      "metrics": {"setup_s": 0.1}}
+    [(command, options)] = started
+    assert command[1:] == ["benchmarks/run.py", "--workload", "queries", "--seed", "7",
+                           "--seconds", "45", "--trace", "0"]
+    assert options["cwd"] == tmp_path
+    assert options["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert options["start_new_session"] is True
+    assert killed == [(4321, signal.SIGKILL)]
+
+
+def _running(pid: int) -> bool:
+    """Whether pid names a live process: one in /proc that is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+_SLEEPING_RUN = """\
+import os, subprocess, sys, time
+from pathlib import Path
+sleeper = subprocess.Popen(  # holds no pipe of run.py's, so no read waits for it
+    [sys.executable, "-c", "import time; time.sleep(60)"],
+    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+)
+Path("pids").write_text(f"{os.getpid()} {sleeper.pid}")
+time.sleep(60)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states in /proc")
+def test_a_run_that_times_out_leaves_no_process_of_its_group(tmp_path, monkeypatch):
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks/run.py").write_text(_SLEEPING_RUN)
+    monkeypatch.setattr(paired, "RUN_TIMEOUT_S", 3)
+    with pytest.raises(subprocess.TimeoutExpired):
+        paired.bench_run(tmp_path, "queries", 1, 1)
+    pids = [int(pid) for pid in (tmp_path / "pids").read_text().split()]
+    deadline = time.monotonic() + 5
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert [pid for pid in pids if _running(pid)] == []

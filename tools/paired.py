@@ -3,16 +3,21 @@
     python3 tools/paired.py PARENT_DIR CHANGE_DIR --workload queries \\
         --seeds 41-50 --label parse-cache-queries
 
-Both trees are byte-compiled first (compileall), so neither side writes
-bytecode during its runs or reads stale bytecode, and the sha256 of each
-tree's sources (every file under src/ and benchmarks/ but bytecode) is
-recorded; it is taken again after every pair, and a tree whose sources
-changed mid-run stops the tool with exit 1, naming the tree, since its
-runs no longer measure one version of the code.  There is one pair per
-seed: it runs ``benchmarks/run.py --trace 0`` with that seed once on each
-tree, for the run_seconds of the parent's BENCHMARK.json, and the side that
-runs first alternates from pair to pair.  Each run's metrics are the JSON
-object that run.py prints as its last line.
+The runs measure what the benchmark check of a fresh checkout measures:
+every __pycache__ under each tree's src/ and benchmarks/ is deleted before
+the first pair, and every run starts with PYTHONDONTWRITEBYTECODE=1, so
+each child compiles the sources it imports and setup_s and peak_rss_mb
+include that compilation.  The sha256 of each tree's sources (every file
+under src/ and benchmarks/ but bytecode) is recorded; it is taken again
+after every pair, and a tree whose sources changed mid-run stops the tool
+with exit 1, naming the tree, since its runs no longer measure one version
+of the code.  There is one pair per seed: it runs ``benchmarks/run.py
+--trace 0`` with that seed once on each tree, for the run_seconds of the
+parent's BENCHMARK.json, and the side that runs first alternates from pair
+to pair.  Each run's metrics are the JSON object that run.py prints as its
+last line.  Each run.py starts in a session of its own, and its whole
+process group is killed when the run ends, times out, or the tool stops
+(SIGTERM stops it as SystemExit), so no child outlives its run.
 
 For each end-to-end metric of the parent's BENCHMARK.json the tool prints
 each side's median with [q1, q3], the pairs the change wins (ties count for
@@ -20,7 +25,7 @@ neither), whether the medians are apart by more than the parent's quartile
 spread in the better direction, and "breach" when the change's median is
 worse than the parent's by more than the metric's bound (a fraction of the
 parent's median).  It writes all of it, with every run, the Python version
-and PYTHONDONTWRITEBYTECODE, to BENCH_<label>.json in the current
+and the bytecode condition, to BENCH_<label>.json in the current
 directory.  Exit code 0, or 1 when a run failed, mismatched its goldens or
 a metric breached its bound, or when a tree's sources changed.
 """
@@ -28,12 +33,14 @@ a metric breached its bound, or when a tree's sources changed.
 from __future__ import annotations
 
 import argparse
-import compileall
+import contextlib
 import hashlib
 import json
 import os
 import platform
 import re
+import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -101,13 +108,21 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         sys.executable, "benchmarks/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
-    proc = subprocess.run(
-        command, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
+    proc = subprocess.Popen(
+        command, cwd=tree, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"), text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
     )
+    try:
+        stdout, stderr = proc.communicate(timeout=RUN_TIMEOUT_S)
+    finally:
+        # run.py's children are in its group; a killed run.py cannot stop them.
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
     if proc.returncode not in (0, 1):  # 1: a golden mismatch, reported below
-        raise RuntimeError(f"{tree}: run.py exited {proc.returncode}: {proc.stderr.strip()}")
-    result = json.loads(proc.stdout.splitlines()[-1])
-    speed = re.search(r"host speed ([0-9.]+)", proc.stdout)
+        raise RuntimeError(f"{tree}: run.py exited {proc.returncode}: {stderr.strip()}")
+    result = json.loads(stdout.splitlines()[-1])
+    speed = re.search(r"host speed ([0-9.]+)", stdout)
     return {
         **{key: result[key] for key in ("correct", "attempted", "failed")},
         "host_speed": float(speed.group(1)) if speed else None,
@@ -130,9 +145,8 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
         for sub in SOURCES:
-            if not compileall.compile_dir(tree / sub, quiet=1):
-                print(f"error: compileall failed under {tree / sub}", file=sys.stderr)
-                return 1
+            for cache in list((tree / sub).rglob("__pycache__")):
+                shutil.rmtree(cache)
     digests = {side: source_digest(tree) for side, tree in trees.items()}
     benchmark = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
     declared, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
@@ -177,7 +191,7 @@ def main(argv=None) -> int:
         "label": args.label,
         "workload": args.workload,
         "python": platform.python_version(),
-        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "bytecode": "none cached; every child compiles what it imports",
         "pairs": len(seeds),
         "seeds": seeds,
         "seconds": seconds,
@@ -189,4 +203,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # Turn SIGTERM into SystemExit so bench_run's cleanup kills the running group.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     sys.exit(main())
