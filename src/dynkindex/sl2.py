@@ -462,9 +462,10 @@ class SummaryRow:
         return self.d / (self.b * self.rank)
 
 
+@lru_cache(maxsize=None)
 def summary_row(lt: LieType) -> SummaryRow:
     """The principal index, D, and the degree pair of lt; a report whose
-    routes disagree raises its disagreement."""
+    routes disagree raises its disagreement and is not cached."""
     rs = build(lt)
     data = mckay_data(lt)  # first: it refuses rank 1 and a broken degree pair
     principal = principal_index(rs)

@@ -5,12 +5,15 @@ import pytest
 from dynkindex import sl2
 
 
-@pytest.fixture
-def fresh_mckay_cache():
-    """An empty mckay_data cache before and after the test, for a test that
-    patches what mckay_data reads (_AB_EXCEPTIONAL, ab_closed_form,
-    _cartan_matrix): a record cached by another test would hide the patch,
-    and one cached under the patch would outlive it."""
-    sl2.mckay_data.cache_clear()
+@pytest.fixture(autouse=True)
+def fresh_sl2_caches():
+    """Empty summary_row and mckay_data caches before and after every test.
+    Many tests patch what those read (principal_index,
+    principal_minus_subregular, _AB_EXCEPTIONAL, ab_closed_form,
+    _cartan_matrix): a row or record cached by another test would hide the
+    patch, and one cached under the patch would outlive it."""
+    for cache in (sl2.summary_row, sl2.mckay_data):
+        cache.cache_clear()
     yield
-    sl2.mckay_data.cache_clear()
+    for cache in (sl2.summary_row, sl2.mckay_data):
+        cache.cache_clear()

@@ -354,7 +354,6 @@ def test_verify_lists_a_difference_disagreement_under_difference_bounds(capsys, 
     )
 
 
-@pytest.mark.usefixtures("fresh_mckay_cache")
 def test_verify_lists_a_refused_degree_pair_under_both_sweeps(capsys, monkeypatch):
     monkeypatch.setitem(sl2._AB_EXCEPTIONAL, "G2", (4, 6))
     code, out, err = run(capsys, *SMALL_VERIFY)
@@ -368,7 +367,6 @@ def test_verify_lists_a_refused_degree_pair_under_both_sweeps(capsys, monkeypatc
     assert lines[-1] == "8/10 checks passed"
 
 
-@pytest.mark.usefixtures("fresh_mckay_cache")
 def test_verify_mckay_compares_the_group_order_with_the_partner_marks(capsys, monkeypatch):
     # (2, 6) keeps a + b = h + 2 and the subregular dimension; only the group
     # order a*b/2 = 6 differs from 1 + the squared marks of D4's highest root.
@@ -393,7 +391,6 @@ def _c_pair_off_the_marks(monkeypatch):
     )
 
 
-@pytest.mark.usefixtures("fresh_mckay_cache")
 @pytest.mark.parametrize(
     "patch,message",
     [(_g2_pair_off_the_marks, "G2: group order 6 != 8"),
@@ -407,7 +404,6 @@ def test_table_refuses_a_degree_pair_off_the_group_order(capsys, monkeypatch, pa
     assert run(capsys, "table") == (1, "", f"error: {message}\n")
 
 
-@pytest.mark.usefixtures("fresh_mckay_cache")
 def test_a_second_table_climbs_no_partner(capsys, monkeypatch):
     climbs = []
 
@@ -426,6 +422,7 @@ def test_a_second_table_climbs_no_partner(capsys, monkeypatch):
 def test_table_evaluates_each_route_once_per_column(monkeypatch):
     # The principal value and the degree pair are evaluated once and passed
     # along; the counter wraps mckay_data's cache, so the counts are per call.
+    # summary_row keeps each row, so a type is evaluated on its first use only.
     counts = {}
     for name in ("principal_index", "mckay_data", "classical_index"):
         counts[name] = 0
@@ -437,9 +434,29 @@ def test_table_evaluates_each_route_once_per_column(monkeypatch):
         monkeypatch.setattr(sl2, name, counted)
     table_payload(5)
     assert counts == {"principal_index": 9, "mckay_data": 9, "classical_index": 4}
+    counts.update(principal_index=0, mckay_data=0, classical_index=0)
+    table_payload(5)
+    assert counts == {"principal_index": 0, "mckay_data": 0, "classical_index": 0}
+    sweep = list(sl2.sweep_types(10))
+    [sl2.summary_row(lt) for lt in sweep]
+    # The 38 swept types less the table's 9, whose rows are kept.
+    assert (counts["mckay_data"], counts["principal_index"]) == (29, 29)
     counts.update(principal_index=0, mckay_data=0)
-    [sl2.summary_row(lt) for lt in sl2.sweep_types(10)]
+    sl2.summary_row.cache_clear()
+    [sl2.summary_row(lt) for lt in sweep]
     assert (counts["mckay_data"], counts["principal_index"]) == (38, 38)
+
+
+@pytest.mark.parametrize("fmt", ["md", "json", "csv"])
+def test_a_second_table_reads_the_kept_rows(capsys, monkeypatch, fmt):
+    first = run(capsys, "table", "--format", fmt)
+    assert first[0] == 0
+    calls = []
+    for name in ("principal_index", "principal_minus_subregular"):
+        monkeypatch.setattr(sl2, name, lambda *args, name=name: calls.append(name))
+    second = run(capsys, "table", "--format", fmt)
+    assert second == first
+    assert calls == []
 
 
 def test_table_checks_the_principal_value_it_passes_along(capsys, monkeypatch):

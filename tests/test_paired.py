@@ -106,6 +106,32 @@ def test_a_tree_edited_during_a_pair_stops_the_tool_and_is_named(tmp_path, monke
     assert not (tmp_path / "BENCH_x.json").exists()
 
 
+@pytest.mark.parametrize(
+    "exc",
+    [subprocess.TimeoutExpired(["run.py"], 200), RuntimeError("run.py exited 2: no samples yet")],
+    ids=["timeout", "exit-2"],
+)
+def test_a_run_that_cannot_finish_ends_the_tool_with_an_error_line(
+    tmp_path, monkeypatch, capsys, exc
+):
+    parent, change = _tree(tmp_path / "parent"), _tree(tmp_path / "change")
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds):  # the second pair's change run fails
+        calls.append((tree.name, seed))
+        if len(calls) == 3:
+            raise exc
+        return {"correct": True, "attempted": 1, "failed": 0, "host_speed": 1.0, "metrics": {}}
+
+    monkeypatch.setattr(paired, "bench_run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    argv = [str(parent), str(change), "--workload", "w", "--seeds", "1-3", "--label", "x"]
+    assert paired.main(argv) == 1
+    assert calls == [("parent", 1), ("change", 1), ("change", 2)]
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: pair 2 change: {exc}"
+    assert not (tmp_path / "BENCH_x.json").exists()
+
+
 def _files(tree: Path) -> dict:
     return {
         path.relative_to(tree).as_posix(): (path.read_bytes(), path.stat().st_mtime_ns)

@@ -115,6 +115,24 @@ def test_difference_sweep_names_every_route_of_a_disagreement(monkeypatch):
     )
 
 
+def test_a_refused_row_is_not_kept(monkeypatch):
+    real = sl2.principal_minus_subregular
+
+    def with_broken_route(rs, principal, data):
+        report = real(rs, principal, data)
+        return IndexReport(report.value, {**report.routes, "broken": report.value + 1})
+
+    monkeypatch.setattr(sl2, "principal_minus_subregular", with_broken_route)
+    a2 = LieType("A", 2)
+    for _ in range(2):
+        with pytest.raises(ArithmeticError) as exc:
+            summary_row(a2)
+        assert str(exc.value).startswith("route disagreement for A2 difference: broken=4,")
+    assert summary_row.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert summary_row(a2) == sl2.SummaryRow("A2", 2, Fraction(4), Fraction(3), 3, 2, 3)
+
+
 def test_broken_degree_pair_raises_under_python_O():
     code = (
         "from dynkindex import sl2, verify\n"

@@ -126,7 +126,6 @@ def test_the_climb_on_an_infinite_type_raises_and_ends(cartan):
         sl2._highest_root(cartan, "X")
 
 
-@pytest.mark.usefixtures("fresh_mckay_cache")
 def test_mckay_builds_no_partner():
     # Only the 38 swept types are built; A17, A19 and D11 are partners only.
     # The cache starts empty, so every partner is climbed here.
@@ -135,7 +134,6 @@ def test_mckay_builds_no_partner():
     assert rootsystems._build_cached.cache_info().currsize == len(list(sl2.sweep_types(10))) == 38
 
 
-@pytest.mark.usefixtures("fresh_mckay_cache")
 def test_mckay_lists_a_partner_with_no_highest_root(monkeypatch):
     monkeypatch.setattr(sl2, "_cartan_matrix", lambda lt: ((2, -2), (-2, 2)))
     result = verify.check_mckay(verify.VerifyConfig(max_classical_rank=2))

@@ -27,7 +27,9 @@ worse than the parent's by more than the metric's bound (a fraction of the
 parent's median).  It writes all of it, with every run, the Python version
 and the bytecode condition, to BENCH_<label>.json in the current
 directory.  Exit code 0, or 1 when a run failed, mismatched its goldens or
-a metric breached its bound, or when a tree's sources changed.
+a metric breached its bound; also 1, with an error line naming the pair and
+the side and no BENCH file, when a tree's sources changed, a run timed out
+or run.py exited 2.
 """
 
 from __future__ import annotations
@@ -156,7 +158,11 @@ def main(argv=None) -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         run = {"pair": i + 1, "seed": seed, "first": order[0]}
         for side in order:
-            run[side] = bench_run(trees[side], args.workload, seed, seconds)
+            try:
+                run[side] = bench_run(trees[side], args.workload, seed, seconds)
+            except (subprocess.TimeoutExpired, RuntimeError) as exc:
+                print(f"error: pair {i + 1} {side}: {exc}", file=sys.stderr)
+                return 1
         print(f"pair {i + 1}/{len(seeds)} seed {seed}, {order[0]} first", file=sys.stderr)
         runs.append(run)
         changed = [side for side, tree in trees.items() if source_digest(tree) != digests[side]]
